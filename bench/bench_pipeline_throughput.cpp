@@ -1,5 +1,5 @@
 // End-to-end service throughput: logs/second through the full pipeline
-// (log manager -> parser stage -> detector stage -> anomaly sink), the
+// (ingest -> parser stage -> detector stage -> anomaly sink), the
 // deployment-scale quantity behind the paper's "handling millions of logs".
 //
 // Hand-rolled main (no google-benchmark) because this binary is also the

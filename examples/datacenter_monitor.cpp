@@ -2,10 +2,10 @@
 // stream (the paper's D1 scenario and Figure 2 workload).
 //
 // Demonstrates the deployed pipeline of Figure 1: an agent ships logs to the
-// log manager, the stateless parser turns them into JSON records, the
-// stateful detector tracks request/transaction workflows by their
-// automatically-discovered event ID, heartbeats expire stuck workflows, and
-// the dashboard summarizes what went wrong.
+// ingest topic (the log manager archives them), the stateless parser turns
+// them into JSON records, the stateful detector tracks request/transaction
+// workflows by their automatically-discovered event ID, heartbeats expire
+// stuck workflows, and the dashboard summarizes what went wrong.
 //
 // Build & run:  ./build/examples/datacenter_monitor
 #include <cstdio>

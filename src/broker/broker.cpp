@@ -172,44 +172,38 @@ Status Broker::produce_batch(const std::string& topic,
   const size_t nparts = data->partitions.size();
   // The per-message produce semantics (fault retries, trace stamping, key
   // hashing) stay exactly per-message; only the partition append is grouped.
-  size_t nfailed = 0;
+  // A message whose retry budget runs out ends the batch: it and every later
+  // message move to `*failed` in order and nothing after it is appended, so
+  // a caller re-publishing `failed` keeps the batch's order.
+  size_t keep = 0;
+  for (; keep < batch.size() && produce_fault_retries(topic); ++keep) {
+    stamp_trace(batch[keep]);
+  }
+  const size_t nfailed = batch.size() - keep;
+  if (failed != nullptr) {
+    failed->insert(failed->end(),
+                   std::make_move_iterator(batch.begin() + keep),
+                   std::make_move_iterator(batch.end()));
+  }
+  batch.resize(keep);
   size_t appended = 0;
   if (nparts == 1) {
-    // Single-partition fast path: no routing pass. Retries and stamping
-    // run per message (compacting over any failures), then one lock
-    // appends the survivors in order.
-    size_t keep = 0;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (!produce_fault_retries(topic)) {
-        if (failed != nullptr) failed->push_back(std::move(batch[i]));
-        ++nfailed;
-        continue;
-      }
-      stamp_trace(batch[i]);
-      if (keep != i) batch[keep] = std::move(batch[i]);
-      ++keep;
-    }
-    if (keep > 0) {
+    // Single-partition fast path: no routing pass, one lock appends the
+    // deliverable prefix in order.
+    if (!batch.empty()) {
       Partition& part = *data->partitions[0];
       RankedMutexLock lock(part.mu);
-      part.log.reserve(part.log.size() + keep);
-      for (size_t i = 0; i < keep; ++i) {
-        Message& m = batch[i];
+      part.log.reserve(part.log.size() + batch.size());
+      for (Message& m : batch) {
         if (m.seq < 0) m.seq = static_cast<int64_t>(part.log.size());
         part.log.push_back(std::move(m));
       }
       part.end.store(part.log.size(), std::memory_order_seq_cst);
-      appended = keep;
+      appended = batch.size();
     }
   } else {
     std::vector<std::vector<size_t>> route(nparts);
     for (size_t i = 0; i < batch.size(); ++i) {
-      if (!produce_fault_retries(topic)) {
-        if (failed != nullptr) failed->push_back(std::move(batch[i]));
-        ++nfailed;
-        continue;
-      }
-      stamp_trace(batch[i]);
       const Message& m = batch[i];
       route[m.key.empty() ? 0 : fnv1a(m.key) % nparts].push_back(i);
     }
@@ -370,46 +364,6 @@ std::vector<std::string> Broker::topics() const {
   out.reserve(topics_.size());
   for (const auto& [name, _] : topics_) out.push_back(name);
   return out;
-}
-
-ConsumerGroup::ConsumerGroup(Broker& broker, std::string group,
-                             std::string topic)
-    : broker_(broker), group_(std::move(group)), topic_(std::move(topic)) {}
-
-size_t ConsumerGroup::join() {
-  RankedMutexLock lock(mu_);
-  return member_count_++;
-}
-
-std::vector<size_t> ConsumerGroup::assignment(size_t member) const {
-  RankedMutexLock lock(mu_);
-  std::vector<size_t> out;
-  size_t partitions = broker_.partition_count(topic_);
-  if (member_count_ == 0) return out;
-  for (size_t p = member % member_count_; p < partitions;
-       p += member_count_) {
-    out.push_back(p);
-  }
-  return out;
-}
-
-std::vector<Message> ConsumerGroup::poll(size_t member, size_t max) {
-  std::vector<size_t> mine = assignment(member);
-  std::vector<Message> out;
-  RankedMutexLock lock(mu_);
-  for (size_t p : mine) {
-    if (out.size() >= max) break;
-    uint64_t& offset = offsets_[p];
-    auto batch = broker_.fetch(topic_, p, offset, max - out.size());
-    offset += batch.size();
-    for (auto& m : batch) out.push_back(std::move(m));
-  }
-  return out;
-}
-
-size_t ConsumerGroup::members() const {
-  RankedMutexLock lock(mu_);
-  return member_count_;
 }
 
 Consumer::Consumer(Broker& broker, std::string topic,

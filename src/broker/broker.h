@@ -71,10 +71,12 @@ class Broker {
   // Batch append: routes every message exactly like produce() (key hash,
   // seq stamping, trace stamping, per-message fault retries) but groups the
   // appends so each touched partition is locked once per call instead of
-  // once per message. Messages whose produce-fault retry budget is spent
-  // are moved into `*failed` (appended; never silently dropped) when it is
-  // non-null, and the Status reports how many failed. Delivery order within
-  // a partition follows batch order.
+  // once per message. Delivery order within a partition follows batch
+  // order. The first message whose produce-fault retry budget is spent ends
+  // the batch: it and every later message are moved into `*failed` in batch
+  // order (appended; never silently dropped) when it is non-null, nothing
+  // after it is appended, and the Status reports how many failed. A caller
+  // that re-publishes `*failed` therefore never reorders the batch.
   Status produce_batch(const std::string& topic, std::vector<Message> batch,
                        std::vector<Message>* failed = nullptr)
       LOGLENS_EXCLUDES(mu_);
@@ -159,9 +161,9 @@ class Broker {
   FaultInjector* faults_ = nullptr;
   // Topic registry only: held to find/create topics and resolve partition
   // pointers, never across an append or a copy-out. Consumers (kConsumer)
-  // and groups (kConsumerGroup) resolve topics while holding their own
-  // locks, and topic creation registers metrics (kMetrics) under this one —
-  // hence kConsumer* < kBroker < kMetrics.
+  // resolve topics while holding their own locks, and topic creation
+  // registers metrics (kMetrics) under this one — hence
+  // kConsumer < kBroker < kMetrics.
   mutable RankedMutex mu_{lock_rank::kBroker};
   std::map<std::string, TopicData> topics_ LOGLENS_GUARDED_BY(mu_);
 
@@ -174,37 +176,6 @@ class Broker {
   mutable RankedMutex wait_mu_{lock_rank::kBrokerWait};
   mutable std::condition_variable_any wait_cv_;
   mutable std::atomic<int> waiters_{0};
-};
-
-// Coordinated consumption: members of one group share a topic's partitions
-// (each partition is owned by exactly one member, Kafka-style), so a
-// multi-process stage can split a topic's load without double-reading.
-// Offsets live on the broker, keyed by (group, topic, partition).
-class ConsumerGroup {
- public:
-  ConsumerGroup(Broker& broker, std::string group, std::string topic);
-
-  // Joins the group; returns a member id used for polling.
-  size_t join() LOGLENS_EXCLUDES(mu_);
-
-  // Polls the partitions assigned to `member` (round-robin assignment over
-  // the current membership), advancing the shared offsets.
-  std::vector<Message> poll(size_t member, size_t max) LOGLENS_EXCLUDES(mu_);
-
-  size_t members() const LOGLENS_EXCLUDES(mu_);
-  // Partitions currently assigned to `member`.
-  std::vector<size_t> assignment(size_t member) const LOGLENS_EXCLUDES(mu_);
-
- private:
-  Broker& broker_;
-  std::string group_;
-  std::string topic_;
-  // poll() fetches from the broker while holding this, pinning
-  // kConsumerGroup < kBroker.
-  mutable RankedMutex mu_{lock_rank::kConsumerGroup};
-  size_t member_count_ LOGLENS_GUARDED_BY(mu_) = 0;
-  // partition -> next offset
-  std::map<size_t, uint64_t> offsets_ LOGLENS_GUARDED_BY(mu_);
 };
 
 // A stateful reader tracking its own offsets across all partitions of one

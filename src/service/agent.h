@@ -1,7 +1,8 @@
 // Agent (Figure 1): the daemon that collects logs at a source and ships them
-// to the log manager's ingest topic. Our agent doubles as the paper's replay
-// agent ("we have developed an agent, which emulates the log streaming
-// behavior"): it pushes stored lines as a stream, preserving order.
+// to the ingest topic, which the parser and the log manager both consume.
+// Our agent doubles as the paper's replay agent ("we have developed an
+// agent, which emulates the log streaming behavior"): it pushes stored
+// lines as a stream, preserving order.
 #pragma once
 
 #include <cstdint>

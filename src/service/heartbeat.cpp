@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "metrics/timer.h"
+#include "common/clock.h"
 
 namespace loglens {
 
@@ -54,7 +54,7 @@ void HeartbeatController::observe_new_logs() {
 }
 
 size_t HeartbeatController::emit_all() {
-  ScopedSpan span(registry_, "heartbeat.emit");
+  const uint64_t start_us = trace_clock::now_us();
   ticks_total_->inc();
   active_sources_->set(static_cast<int64_t>(sources_.size()));
   size_t emitted = 0;
@@ -70,6 +70,8 @@ size_t HeartbeatController::emit_all() {
     ++emitted;
   }
   emitted_total_->inc(emitted);
+  registry_->record_span("heartbeat.emit", start_us,
+                         trace_clock::now_us() - start_us);
   return emitted;
 }
 

@@ -2,28 +2,21 @@
 
 namespace loglens {
 
-LogManager::LogManager(Broker& broker, LogManagerOptions options)
-    : broker_(broker),
-      options_(std::move(options)),
-      consumer_(broker, options_.input_topic),
-      store_(options_.store) {}
+namespace {
+// Logs archived per pump(): bounds the batch one poll holds in memory.
+constexpr size_t kPollSize = 65536;
+}  // namespace
+
+LogManager::LogManager(Broker& broker, DocumentStoreOptions archive)
+    : consumer_(broker, "ingest"), store_(std::move(archive)) {}
 
 size_t LogManager::pump() {
-  auto batch = consumer_.poll(options_.max_forward_per_pump);
-  for (auto& m : batch) {
+  auto batch = consumer_.poll(kPollSize);
+  for (const auto& m : batch) {
     if (!m.source.empty()) sources_.insert(m.source);
-    if (options_.archive) {
-      store_.add(m.source, m.value, m.timestamp_ms);
-    }
+    store_.add(m.source, m.value, m.timestamp_ms);
   }
-  const size_t n = batch.size();
-  if (n > 0) {
-    // Forward as one batch: one partition-lock crossing per pump, not per
-    // log line.
-    (void)broker_.produce_batch(options_.output_topic, std::move(batch));
-  }
-  forwarded_ += n;
-  return n;
+  return batch.size();
 }
 
 size_t LogManager::drain() {

@@ -1,6 +1,7 @@
-// Log Manager (Figure 1): receives logs from agents, controls the incoming
-// rate, identifies log sources, archives raw logs to the log store, and
-// forwards them to the parser's input topic.
+// Log Manager (Figure 1): identifies log sources and archives raw logs to the
+// log store. It reads the `ingest` topic as its own consumer, next to the
+// parser, and never produces to the broker: the parser consumes `ingest`
+// directly.
 #pragma once
 
 #include <cstdint>
@@ -12,24 +13,14 @@
 
 namespace loglens {
 
-struct LogManagerOptions {
-  std::string input_topic = "ingest";
-  std::string output_topic = "logs";
-  // Rate control: at most this many logs are forwarded per pump() call;
-  // excess stays buffered in the broker until the next pump.
-  size_t max_forward_per_pump = 65536;
-  bool archive = true;  // store raw logs in the log store
-  // Tiered-engine configuration for the archive (segment dir, flush and
-  // compaction policy). Default: in-memory.
-  DocumentStoreOptions store;
-};
-
 class LogManager {
  public:
-  LogManager(Broker& broker, LogManagerOptions options = {});
+  // `archive`: tiered-engine configuration for the log store (segment dir,
+  // flush and compaction policy). Default: in-memory.
+  explicit LogManager(Broker& broker, DocumentStoreOptions archive = {});
 
-  // Moves up to the rate limit of buffered logs from ingest to the parser
-  // topic. Returns the number forwarded.
+  // Archives one poll's worth of buffered ingest logs and records their
+  // sources. Returns the number archived.
   size_t pump();
 
   // Drains the ingest topic completely (repeated pumps).
@@ -42,15 +33,11 @@ class LogManager {
 
   const std::set<std::string>& sources() const { return sources_; }
   LogStore& log_store() { return store_; }
-  uint64_t forwarded() const { return forwarded_; }
 
  private:
-  Broker& broker_;
-  LogManagerOptions options_;
   Consumer consumer_;
   LogStore store_;
   std::set<std::string> sources_;
-  uint64_t forwarded_ = 0;
 };
 
 }  // namespace loglens

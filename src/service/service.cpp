@@ -26,24 +26,17 @@ DocumentStoreOptions role_store_options(const ServiceOptions& o,
   return s;
 }
 
-LogManagerOptions log_manager_options(const ServiceOptions& o) {
-  LogManagerOptions lm{"ingest", "logs"};
-  lm.store = role_store_options(o, "logs");
-  return lm;
-}
-
 }  // namespace
 
 LogLensService::LogLensService(ServiceOptions options)
     : options_(std::move(options)),
       broker_(options_.metrics, options_.faults),
-      log_manager_(broker_, log_manager_options(options_)),
+      log_manager_(broker_, role_store_options(options_, "logs")),
       heartbeat_(broker_, HeartbeatOptions{"parsed", "parsed"},
                  options_.metrics),
       anomaly_store_(role_store_options(options_, "anomalies")),
       anomaly_sink_(broker_, "anomalies") {
   broker_.create_topic("ingest", 1);
-  broker_.create_topic("logs", 1);
   broker_.create_topic("parsed", 1);
   broker_.create_topic("anomalies", 1);
   broker_.create_topic("metrics", 1);
@@ -93,7 +86,7 @@ LogLensService::LogLensService(ServiceOptions options)
       });
 
   JobOptions parser_job;
-  parser_job.input_topic = "logs";
+  parser_job.input_topic = "ingest";
   parser_job.output_topic = "parsed";
   parser_job.batch_size = 2048;
   parser_job.name = "parser";

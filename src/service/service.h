@@ -1,14 +1,17 @@
 // LogLensService: the fully wired system of Figure 1.
 //
-//   agents -> [ingest] -> LogManager -> [logs] -> parser engine ->
-//   [parsed] -> detector engine -> [anomalies] -> anomaly store
+//   agents -> [ingest] -+-> parser engine -> [parsed] -> detector engine ->
+//                       |   [anomalies] -> anomaly store
+//                       +-> LogManager -> log store (archive, sources)
 //
 // plus the model side (builder -> store -> manager -> controller ->
 // rebroadcast into both engines) and the heartbeat controller feeding
 // predicted log time into [parsed].
 //
 // Two modes:
-//   - start()/stop(): background JobRunners — the deployed service.
+//   - start()/stop(): background JobRunners — the deployed service. The
+//     parser reads [ingest] live; the archive fills when log_manager().pump()
+//     runs, and at latest in stop()'s final drain().
 //   - drain(): synchronous end-to-end processing of everything queued —
 //     what the experiments use for determinism.
 #pragma once

@@ -201,6 +201,40 @@ TEST(ProduceBatch, ExhaustedRetriesLandInFailedNotTheLog) {
   EXPECT_EQ(failed[0].value, "1");
   EXPECT_EQ(failed[1].value, "2");
   EXPECT_EQ(broker.end_offset("t", 0), 0u);
+
+  // A failure ends the batch, on the single-partition and the routed path:
+  // when only the second of four messages exhausts its retries, the log
+  // holds the first and `failed` holds the rest in batch order, so a caller
+  // re-publishing `failed` cannot reorder the stream.
+  for (size_t partitions : {1u, 4u}) {
+    SCOPED_TRACE(partitions);
+    // Seed 34 at p = 0.5 draws miss, then five hits: message 1 goes
+    // through, message 2 spends all five attempts, and the cap is gone.
+    FaultInjector second_fails(/*seed=*/34);
+    Broker routed(nullptr, &second_fails);
+    routed.create_topic("t", partitions);
+    FaultSpec five;
+    five.probability = 0.5;
+    five.max_triggers = 5;
+    second_fails.arm(kFaultSiteProduce, five);
+    std::vector<Message> four{msg("k", "1"), msg("k", "2"), msg("k", "3"),
+                              msg("k", "4")};
+    std::vector<Message> rest;
+    EXPECT_FALSE(routed.produce_batch("t", std::move(four), &rest).ok());
+    ASSERT_EQ(second_fails.triggered(kFaultSiteProduce), 5u);
+    ASSERT_EQ(rest.size(), 3u);
+    EXPECT_EQ(rest[0].value, "2");
+    EXPECT_EQ(rest[1].value, "3");
+    EXPECT_EQ(rest[2].value, "4");
+    uint64_t total = 0;
+    for (size_t p = 0; p < partitions; ++p) {
+      for (const auto& m : routed.fetch("t", p, 0, 10)) {
+        EXPECT_EQ(m.value, "1");
+        ++total;
+      }
+    }
+    EXPECT_EQ(total, 1u);
+  }
 }
 
 // Sharded-partition interleaving stress (sized for the TSan leg): single

@@ -147,60 +147,6 @@ TEST(Consumer, CreatedBeforeTopicGrowsWithIt) {
   EXPECT_EQ(consumer.poll(10).size(), 1u);
 }
 
-TEST(ConsumerGroupTest, PartitionsSplitAcrossMembers) {
-  Broker broker;
-  broker.create_topic("t", 6);
-  ConsumerGroup group(broker, "g", "t");
-  size_t m0 = group.join();
-  size_t m1 = group.join();
-  EXPECT_EQ(group.members(), 2u);
-  auto a0 = group.assignment(m0);
-  auto a1 = group.assignment(m1);
-  EXPECT_EQ(a0.size() + a1.size(), 6u);
-  // Disjoint coverage of all partitions.
-  std::set<size_t> all(a0.begin(), a0.end());
-  for (size_t p : a1) {
-    EXPECT_TRUE(all.insert(p).second) << "partition " << p << " shared";
-  }
-  EXPECT_EQ(all.size(), 6u);
-}
-
-TEST(ConsumerGroupTest, EveryMessageConsumedExactlyOnce) {
-  Broker broker;
-  broker.create_topic("t", 4);
-  for (int i = 0; i < 40; ++i) {
-    broker.produce("t", msg(("k" + std::to_string(i)).c_str(),
-                            std::to_string(i).c_str()));
-  }
-  ConsumerGroup group(broker, "g", "t");
-  size_t m0 = group.join();
-  size_t m1 = group.join();
-  size_t m2 = group.join();
-  std::multiset<std::string> seen;
-  for (size_t member : {m0, m1, m2}) {
-    for (auto batch = group.poll(member, 7); !batch.empty();
-         batch = group.poll(member, 7)) {
-      for (const auto& m : batch) seen.insert(m.value);
-    }
-  }
-  EXPECT_EQ(seen.size(), 40u);
-  for (int i = 0; i < 40; ++i) {
-    EXPECT_EQ(seen.count(std::to_string(i)), 1u) << i;
-  }
-}
-
-TEST(ConsumerGroupTest, SingleMemberOwnsEverything) {
-  Broker broker;
-  broker.create_topic("t", 3);
-  broker.produce("t", msg("a", "1"));
-  broker.produce("t", msg("b", "2"));
-  ConsumerGroup group(broker, "g", "t");
-  size_t m = group.join();
-  EXPECT_EQ(group.assignment(m).size(), 3u);
-  EXPECT_EQ(group.poll(m, 100).size(), 2u);
-  EXPECT_TRUE(group.poll(m, 100).empty());  // offsets advanced
-}
-
 TEST(Broker, ConcurrentProducersAreSerialized) {
   Broker broker;
   broker.create_topic("t", 1);

@@ -148,6 +148,55 @@ TEST(ChaosTest, OutputEqualsFaultFreeRunAcrossSeeds) {
   }
 }
 
+TEST(ChaosTest, ProduceThatExhaustsRetriesLosesNoLine) {
+  // Armed once the stream is queued, every produce fails until five fires
+  // are spent: the first publish of drain() spends the broker's whole
+  // retry budget (5 attempts) and its batch comes back undeliverable. Every
+  // line must still be archived and detected, in order and exactly once,
+  // with nothing dead-lettered.
+  Dataset d = make_d1(0.02);
+  MetricsRegistry clean_registry;
+  auto expected = run_pipeline(d, &clean_registry, nullptr);
+  ASSERT_FALSE(expected.empty());
+
+  MetricsRegistry registry;
+  FaultInjector faults(1, &registry);
+  ServiceOptions opts;
+  opts.build.discovery = recommended_discovery("D1");
+  opts.metrics = &registry;
+  opts.faults = &faults;
+  LogLensService service(opts);
+  service.train(d.training);
+  Agent agent = service.make_agent("D1");
+  agent.replay(d.testing);
+  FaultSpec produce;
+  produce.probability = 1.0;
+  produce.max_triggers = 5;
+  faults.arm(kFaultSiteProduce, produce);
+  service.drain();
+  ASSERT_EQ(faults.triggered(kFaultSiteProduce), 5u);
+  service.heartbeat_advance(kDayMs);
+  service.drain();
+
+  EXPECT_FALSE(service.failed());
+  const uint64_t sent = agent.lines_sent();
+  EXPECT_EQ(sent, d.testing.size());
+  EXPECT_EQ(service.log_store().size(), sent);
+  uint64_t detected = 0;
+  uint64_t dedup_skipped = 0;
+  for (size_t p = 0; p < opts.detector_partitions; ++p) {
+    const MetricLabels labels{{"partition", std::to_string(p)}};
+    detected += registry.counter("loglens_detector_logs_total", labels).value();
+    dedup_skipped +=
+        registry.counter("loglens_detector_dedup_skipped_total", labels)
+            .value();
+  }
+  EXPECT_EQ(detected, sent);
+  EXPECT_EQ(dedup_skipped, 0u);
+  EXPECT_EQ(service.broker().end_offset(opts.dead_letter_topic, 0), 0u);
+  EXPECT_EQ(normalized(service.anomalies()), expected);
+}
+
 TEST(ChaosTest, RecoverRewindsToCheckpointAndConverges) {
   Dataset d = make_d1(0.05);
   std::string path = temp_path("loglens_chaos_recover.json");
@@ -289,8 +338,8 @@ TEST(ChaosTest, SupervisorRecoversParkedRunner) {
   service.start();
   Agent agent = service.make_agent("D1");
   agent.replay(d.testing);
-  // Pump ingest -> logs ourselves (drain() would also recover in place,
-  // which is exactly what this test must NOT lean on): the running parser
+  // Archive ingest ourselves rather than drain() (which would also recover
+  // in place, exactly what this test must NOT lean on): the running parser
   // hits the finish faults, parks, and the supervisor thread recovers it.
   for (int i = 0; i < 2000 && service.recoveries() == 0; ++i) {
     service.log_manager().drain();

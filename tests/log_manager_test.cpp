@@ -2,69 +2,66 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "service/agent.h"
 
 namespace loglens {
 namespace {
 
-TEST(LogManager, ForwardsAndArchives) {
+// The manager only reads: ingest is the one topic and holds exactly what
+// the agents sent.
+void expect_produces_nothing(const Broker& broker, uint64_t sent) {
+  EXPECT_EQ(broker.topics(), std::vector<std::string>{"ingest"});
+  EXPECT_EQ(broker.end_offset("ingest", 0), sent);
+}
+
+TEST(LogManager, ArchivesAndTracksSource) {
   Broker broker;
-  LogManager manager(broker, {"ingest", "logs", 100, true});
+  LogManager manager(broker);
   Agent agent(broker, {"web", "ingest"});
   agent.send_line("line one");
   agent.send_line("line two");
   EXPECT_EQ(manager.pump(), 2u);
-  EXPECT_EQ(broker.end_offset("logs", 0), 2u);
   EXPECT_EQ(manager.log_store().size(), 2u);
   auto archived = manager.log_store().fetch("web");
   ASSERT_EQ(archived.size(), 2u);
   EXPECT_EQ(archived[0], "line one");
   EXPECT_TRUE(manager.sources().contains("web"));
-  EXPECT_EQ(manager.forwarded(), 2u);
-}
-
-TEST(LogManager, RateControlCapsPerPump) {
-  Broker broker;
-  LogManagerOptions opts;
-  opts.max_forward_per_pump = 5;
-  LogManager manager(broker, opts);
-  Agent agent(broker, {"s", "ingest"});
-  for (int i = 0; i < 12; ++i) agent.send_line("l" + std::to_string(i));
-  // Pumps respect the rate limit; the broker buffers the excess.
-  EXPECT_EQ(manager.pump(), 5u);
-  EXPECT_EQ(broker.end_offset("logs", 0), 5u);
-  EXPECT_EQ(manager.pump(), 5u);
-  EXPECT_EQ(manager.pump(), 2u);
   EXPECT_EQ(manager.pump(), 0u);
-  EXPECT_EQ(manager.forwarded(), 12u);
+  expect_produces_nothing(broker, 2);
 }
 
 TEST(LogManager, DrainLoopsToEmpty) {
   Broker broker;
-  LogManagerOptions opts;
-  opts.max_forward_per_pump = 3;
-  LogManager manager(broker, opts);
+  LogManager manager(broker);
   Agent agent(broker, {"s", "ingest"});
   for (int i = 0; i < 10; ++i) agent.send_line("x");
   EXPECT_EQ(manager.drain(), 10u);
-  EXPECT_EQ(broker.end_offset("logs", 0), 10u);
+  EXPECT_EQ(manager.input_lag(), 0u);
+  EXPECT_EQ(manager.log_store().size(), 10u);
+  expect_produces_nothing(broker, 10);
 }
 
-TEST(LogManager, ArchivalOptional) {
+TEST(LogManager, ReadsIngestBesideOtherConsumers) {
+  // The parser consumes ingest on its own offsets; archiving must neither
+  // take lines from it nor depend on it.
   Broker broker;
-  LogManagerOptions opts;
-  opts.archive = false;
-  LogManager manager(broker, opts);
+  LogManager manager(broker);
+  Consumer parser(broker, "ingest");
   Agent agent(broker, {"s", "ingest"});
-  agent.send_line("not archived");
-  manager.drain();
-  EXPECT_EQ(manager.log_store().size(), 0u);
-  EXPECT_EQ(broker.end_offset("logs", 0), 1u);  // still forwarded
+  for (int i = 0; i < 5; ++i) agent.send_line("l" + std::to_string(i));
+  EXPECT_EQ(parser.poll(100).size(), 5u);
+  EXPECT_EQ(manager.input_lag(), 5u);
+  EXPECT_EQ(manager.drain(), 5u);
+  EXPECT_EQ(manager.log_store().fetch("s").size(), 5u);
+  expect_produces_nothing(broker, 5);
 }
 
 TEST(LogManager, TracksMultipleSources) {
   Broker broker;
-  LogManager manager(broker, {});
+  LogManager manager(broker);
   Agent a(broker, {"a", "ingest"});
   Agent b(broker, {"b", "ingest"});
   a.send_line("from a");
@@ -76,6 +73,7 @@ TEST(LogManager, TracksMultipleSources) {
   EXPECT_EQ(manager.log_store().fetch("b").size(), 1u);
   EXPECT_EQ(a.lines_sent(), 2u);
   EXPECT_EQ(a.source(), "a");
+  expect_produces_nothing(broker, 3);
 }
 
 }  // namespace

@@ -137,7 +137,7 @@ TEST(MetricsPipelineTest, CountersAdvanceEndToEnd) {
 
   // Spans were traced for both stages.
   bool parser_span = false;
-  for (const auto& span : registry.recent_spans()) {
+  for (const auto& span : registry.take_trace_spans()) {
     if (span.name == "parser.batch") parser_span = true;
   }
   EXPECT_TRUE(parser_span);

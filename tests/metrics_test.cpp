@@ -1,6 +1,6 @@
 // Unit tests for the metrics subsystem: concurrent counters, histogram
 // percentile accuracy against known distributions, registry handle
-// stability, exposition formats, and the span ring buffer.
+// stability, exposition formats, and span retention.
 #include "metrics/metrics.h"
 
 #include <gtest/gtest.h>
@@ -188,7 +188,7 @@ TEST(RegistryTest, ResetZeroesInPlace) {
   registry.reset();
   EXPECT_EQ(c.value(), 0u);  // same handle, zeroed
   EXPECT_EQ(h.snapshot().count, 0u);
-  EXPECT_TRUE(registry.recent_spans().empty());
+  EXPECT_TRUE(registry.take_trace_spans().empty());
 }
 
 TEST(RegistryTest, SpanRingKeepsNewest) {
@@ -196,10 +196,14 @@ TEST(RegistryTest, SpanRingKeepsNewest) {
   for (int i = 0; i < 300; ++i) {
     registry.record_span("s" + std::to_string(i), i, 1);
   }
-  auto spans = registry.recent_spans();
-  ASSERT_EQ(spans.size(), 256u);
-  EXPECT_EQ(spans.front().name, "s44");  // oldest surviving
-  EXPECT_EQ(spans.back().name, "s299");  // newest
+  // The dashboard window shows the newest 256; the full retention keeps all.
+  Json snap = registry.snapshot_json();
+  const Json* spans = snap.find("spans");
+  ASSERT_TRUE(spans != nullptr && spans->is_array());
+  ASSERT_EQ(spans->as_array().size(), 256u);
+  EXPECT_EQ(spans->as_array().front().get_string("name"), "s44");  // oldest
+  EXPECT_EQ(spans->as_array().back().get_string("name"), "s299");  // newest
+  EXPECT_EQ(registry.take_trace_spans().size(), 300u);
 }
 
 TEST(TimerTest, ScopedTimerRecords) {
@@ -208,14 +212,16 @@ TEST(TimerTest, ScopedTimerRecords) {
   EXPECT_EQ(hist.snapshot().count, 1u);
 }
 
-TEST(TimerTest, ScopedSpanFilesRecordAndSample) {
+TEST(RegistryTest, RecordSpanFilesOneTraceSpan) {
   MetricsRegistry registry;
-  Histogram& hist = registry.histogram("span_us");
-  { ScopedSpan span(&registry, "unit.test", &hist); }
-  EXPECT_EQ(hist.snapshot().count, 1u);
-  auto spans = registry.recent_spans();
+  registry.record_span("unit.test", 10, 5);
+  auto spans = registry.take_trace_spans();
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(spans[0].name, "unit.test");
+  EXPECT_EQ(spans[0].start_us, 10u);
+  EXPECT_EQ(spans[0].duration_us, 5u);
+  EXPECT_NE(spans[0].span_id, 0u);
+  EXPECT_TRUE(registry.take_trace_spans().empty());  // taking consumes
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
-// End-to-end pipeline tests: agent -> log manager -> parser stage ->
-// detector stage -> anomaly store, with heartbeats and live model updates.
+// End-to-end pipeline tests: agent -> parser stage -> detector stage ->
+// anomaly store, with the log manager archiving beside the parser,
+// heartbeats and live model updates.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -7,6 +8,7 @@
 #include <thread>
 
 #include "datagen/datasets.h"
+#include "metrics/metrics.h"
 #include "service/service.h"
 
 namespace loglens {
@@ -136,7 +138,7 @@ TEST(ServiceE2E, BackgroundModeMatchesDrainMode) {
   async_service.start();
   Agent a2 = async_service.make_agent("D1");
   a2.replay(d1.testing);
-  // Move logs through ingest while the runners work in the background.
+  // Archive beside the parser while the runners work in the background.
   for (int i = 0;
        i < 200 && async_service.log_store().size() < d1.testing.size(); ++i) {
     async_service.log_manager().pump();
@@ -149,6 +151,40 @@ TEST(ServiceE2E, BackgroundModeMatchesDrainMode) {
 
   EXPECT_EQ(anomalous_ids(sync_service.anomalies()),
             anomalous_ids(async_service.anomalies()));
+}
+
+TEST(ServiceE2E, StartModeParsesIngestWithoutPumping) {
+  // The parser runner reads the agents' topic itself: with no pump() and no
+  // drain(), every sent line reaches the detector.
+  Dataset d1 = make_d1(0.02);
+  MetricsRegistry registry;
+  ServiceOptions opts = d1_options();
+  opts.metrics = &registry;
+  LogLensService service(opts);
+  service.train(d1.training);
+  service.start();
+  Agent agent = service.make_agent("D1");
+  agent.replay(d1.testing);
+  auto detector_logs = [&] {
+    uint64_t total = 0;
+    for (size_t p = 0; p < opts.detector_partitions; ++p) {
+      total += registry
+                   .counter("loglens_detector_logs_total",
+                            {{"partition", std::to_string(p)}})
+                   .value();
+    }
+    return total;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (detector_logs() < agent.lines_sent() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(detector_logs(), d1.testing.size());
+  service.stop();
+  // The archive is the log manager's alone; stop()'s final drain fills it.
+  EXPECT_EQ(service.log_store().size(), d1.testing.size());
 }
 
 TEST(ServiceE2E, Fig4AccuracyOnD2) {

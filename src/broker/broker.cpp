@@ -1,6 +1,7 @@
 #include "broker/broker.h"
 
 #include <chrono>
+#include <iterator>
 #include <limits>
 
 #include "common/clock.h"
@@ -132,6 +133,15 @@ void Broker::notify_waiters() const {
   sched::cv_notify_all(wait_cv_);
 }
 
+void Broker::append_locked(Partition& part, std::span<Message> messages) {
+  for (Message& m : messages) {
+    if (m.seq < 0) m.seq = static_cast<int64_t>(part.log.size());
+    part.log.push_back(std::move(m));
+  }
+  part.end.store(part.log.size(), std::memory_order_seq_cst);
+  LOGLENS_SCHED_POINT("broker.end_publish");
+}
+
 Status Broker::produce(const std::string& topic, Message message,
                        std::optional<size_t> partition) {
   if (!produce_fault_retries(topic)) {
@@ -152,12 +162,7 @@ Status Broker::produce(const std::string& topic, Message message,
   Partition& part = *parts[p];
   {
     RankedMutexLock lock(part.mu);
-    if (message.seq < 0) {
-      message.seq = static_cast<int64_t>(part.log.size());
-    }
-    part.log.push_back(std::move(message));
-    part.end.store(part.log.size(), std::memory_order_seq_cst);
-    LOGLENS_SCHED_POINT("broker.end_publish");
+    append_locked(part, std::span<Message>(&message, 1));
   }
   data->produced->inc();
   notify_waiters();
@@ -193,31 +198,19 @@ Status Broker::produce_batch(const std::string& topic,
     if (!batch.empty()) {
       Partition& part = *data->partitions[0];
       RankedMutexLock lock(part.mu);
-      part.log.reserve(part.log.size() + batch.size());
-      for (Message& m : batch) {
-        if (m.seq < 0) m.seq = static_cast<int64_t>(part.log.size());
-        part.log.push_back(std::move(m));
-      }
-      part.end.store(part.log.size(), std::memory_order_seq_cst);
+      append_locked(part, batch);
       appended = batch.size();
     }
   } else {
-    std::vector<std::vector<size_t>> route(nparts);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const Message& m = batch[i];
-      route[m.key.empty() ? 0 : fnv1a(m.key) % nparts].push_back(i);
+    std::vector<std::vector<Message>> route(nparts);
+    for (Message& m : batch) {
+      route[m.key.empty() ? 0 : fnv1a(m.key) % nparts].push_back(std::move(m));
     }
     for (size_t p = 0; p < nparts; ++p) {
       if (route[p].empty()) continue;
       Partition& part = *data->partitions[p];
       RankedMutexLock lock(part.mu);
-      part.log.reserve(part.log.size() + route[p].size());
-      for (size_t i : route[p]) {
-        Message& m = batch[i];
-        if (m.seq < 0) m.seq = static_cast<int64_t>(part.log.size());
-        part.log.push_back(std::move(m));
-      }
-      part.end.store(part.log.size(), std::memory_order_seq_cst);
+      append_locked(part, route[p]);
       appended += route[p].size();
     }
   }
@@ -254,10 +247,8 @@ std::vector<Message> Broker::copy_out(const TopicData& data, size_t partition,
   const uint64_t end = part.log.size();
   if (offset >= end || max == 0) return out;
   const uint64_t take = std::min<uint64_t>(end - offset, max);
-  out.reserve(take);
-  for (uint64_t i = offset; i < offset + take; ++i) {
-    out.push_back(part.log[i]);
-  }
+  const auto first = part.log.begin() + static_cast<std::ptrdiff_t>(offset);
+  out.assign(first, first + static_cast<std::ptrdiff_t>(take));
   data.fetched->inc(out.size());
   return out;
 }
@@ -401,8 +392,8 @@ std::vector<Message> Consumer::poll(size_t max) {
       if (out.empty()) {
         out = std::move(batch);
       } else {
-        out.reserve(out.size() + batch.size());
-        for (auto& m : batch) out.push_back(std::move(m));
+        out.insert(out.end(), std::make_move_iterator(batch.begin()),
+                   std::make_move_iterator(batch.end()));
       }
     }
   }

@@ -17,14 +17,22 @@
 // signal when a waiter is registered — the uncontended produce pays one
 // relaxed atomic load for it. Partition end offsets are additionally
 // published as atomics so lag monitors read them without any lock.
+//
+// Partition log: a std::deque<Message>, so an append is amortised O(1) and
+// never relocates a retained message — no append holds the partition lock
+// across an O(retained) move, however long the partition grows. Every
+// append path (produce, both produce_batch routes) goes through one helper
+// that stamps seqs, appends, and publishes the end offset.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -115,9 +123,11 @@ class Broker {
   // One partition: an append-only ordered log under its own lock, with the
   // end offset mirrored in an atomic (published after the append) so
   // monitors and blocked waiters read progress without taking the lock.
+  // The deque's appends never move retained messages (see the header
+  // comment) and leave room for a future prefix truncation by pop_front.
   struct Partition {
     mutable RankedMutex mu{lock_rank::kBrokerPartition};
-    std::vector<Message> log LOGLENS_GUARDED_BY(mu);
+    std::deque<Message> log LOGLENS_GUARDED_BY(mu);
     std::atomic<uint64_t> end{0};
   };
 
@@ -144,6 +154,10 @@ class Broker {
   // lock only, bumping the topic fetch counter.
   static std::vector<Message> copy_out(const TopicData& data, size_t partition,
                                        uint64_t offset, size_t max);
+  // Appends `messages` in order — each one without a seq is stamped with its
+  // append offset — then publishes the new end offset.
+  static void append_locked(Partition& part, std::span<Message> messages)
+      LOGLENS_REQUIRES(part.mu);
   // Runs the client-style produce retry loop against the produce fault
   // site; false when the retry budget is exhausted (message undeliverable).
   bool produce_fault_retries(const std::string& topic) LOGLENS_EXCLUDES(mu_);

@@ -46,7 +46,7 @@ enum class State {
   kBlockedMutex,  // waiting for a RankedMutex held by another thread
   kBlockedCv,     // waiting for a cv notify (or a virtual deadline)
   kSleeping,      // virtual sleep until deadline_us
-  kOutside,       // in a BlockingRegion: really blocked, out of our view
+  kBlockedJoin,   // in sched::join, waiting for join_target to finish
   kFinished,
 };
 
@@ -57,7 +57,7 @@ const char* state_name(State s) {
     case State::kBlockedMutex: return "blocked-mutex";
     case State::kBlockedCv: return "blocked-cv";
     case State::kSleeping: return "sleeping";
-    case State::kOutside: return "outside";
+    case State::kBlockedJoin: return "blocked-join";
     case State::kFinished: return "finished";
   }
   return "?";
@@ -76,6 +76,8 @@ struct ThreadRec {
   bool cv_signaled = false;
   bool has_deadline = false;
   uint64_t deadline_us = 0;
+  std::thread::id os_id;                 // the OS thread that registered
+  const ThreadRec* join_target = nullptr;  // while kBlockedJoin
 };
 
 struct TraceEntry {
@@ -284,26 +286,6 @@ class ScheduleController::Impl {
     yield_common(me, lk);
   }
 
-  void region_leave() {
-    std::unique_lock<std::mutex> lk(mu_);
-    ThreadRec* me = self(lk);
-    me->site = "blocking-region";
-    me->state = State::kOutside;
-    ++outside_;
-    // Hand the token on, but do NOT wait: the caller proceeds into its
-    // real blocking operation.
-    if (current_ == me) schedule_locked(me);
-  }
-
-  void region_enter() {
-    std::unique_lock<std::mutex> lk(mu_);
-    ThreadRec* me = self(lk);
-    --outside_;
-    me->state = State::kReady;
-    if (current_ == nullptr) schedule_locked(nullptr);
-    wait_scheduled(me, lk);
-  }
-
   std::thread spawn(std::string name, std::function<void()> fn) {
     auto started = std::make_shared<std::atomic<bool>>(false);
     std::thread t(
@@ -326,12 +308,39 @@ class ScheduleController::Impl {
     return t;
   }
 
+  // Blocks the caller, as a schedule decision, until the thread registered
+  // from OS thread `id` has finished. A joinable thread's id is unique, so
+  // the newest record with it is that thread's.
+  void join_wait(std::thread::id id) {
+    std::unique_lock<std::mutex> lk(mu_);
+    ThreadRec* me = self(lk);
+    const ThreadRec* target = nullptr;
+    for (const ThreadRec& r : recs_) {
+      if (r.os_id == id) target = &r;
+    }
+    if (target == nullptr) {
+      fail_locked("sched::join of a thread not made by spawn_named under "
+                  "this controller");
+    }
+    if (target->state == State::kFinished) return;
+    me->site = "thread.join";
+    me->state = State::kBlockedJoin;
+    me->join_target = target;
+    yield_common(me, lk);
+  }
+
   void thread_exit() {
     std::unique_lock<std::mutex> lk(mu_);
     ThreadRec* me = self_or_null();
     if (me == nullptr) return;
     me->state = State::kFinished;
     tls_slot = TlsSlot{};
+    for (ThreadRec& r : recs_) {
+      if (r.state == State::kBlockedJoin && r.join_target == me) {
+        r.state = State::kReady;
+        r.join_target = nullptr;
+      }
+    }
     if (current_ == me) schedule_locked(nullptr);
   }
 
@@ -357,6 +366,7 @@ class ScheduleController::Impl {
     recs_.emplace_back();
     ThreadRec& r = recs_.back();
     r.name = std::move(name);
+    r.os_id = std::this_thread::get_id();
     r.reg_index = recs_.size() - 1;
     // PCT initial priorities live strictly above every demotion value
     // (demotions hand out d, d-1, ..., 1).
@@ -388,7 +398,8 @@ class ScheduleController::Impl {
       if (cv_.wait_for(lk, std::chrono::milliseconds(250)) ==
           std::cv_status::timeout) {
         // Self-heal: if the schedule went idle while we became runnable
-        // (a wake delivered from an Outside thread), restart it.
+        // (a wake delivered by a thread the controller does not manage),
+        // restart it.
         if (current_ == nullptr && me->state == State::kReady) {
           schedule_locked(nullptr);
           continue;
@@ -458,14 +469,6 @@ class ScheduleController::Impl {
           }
         }
         continue;
-      }
-      if (outside_ > 0) {
-        // A thread is blocked in the real world; go idle until it
-        // returns (region_enter restarts the schedule).
-        current_ = nullptr;
-        touch_progress_locked();
-        cv_.notify_all();
-        return;
       }
       bool any_live = false;
       for (const ThreadRec& r : recs_) {
@@ -581,7 +584,6 @@ class ScheduleController::Impl {
   Rng rng_;
   std::deque<ThreadRec> recs_;  // stable addresses
   ThreadRec* current_ = nullptr;
-  int outside_ = 0;
   uint64_t steps_ = 0;
   uint64_t hash_ = 0xcbf29ce484222325ULL;
   std::vector<uint64_t> change_points_;
@@ -644,8 +646,9 @@ std::thread spawn(ScheduleController* c, std::string name,
                   std::function<void()> fn) {
   return c->impl().spawn(std::move(name), std::move(fn));
 }
-void region_leave(ScheduleController* c) { c->impl().region_leave(); }
-void region_enter(ScheduleController* c) { c->impl().region_enter(); }
+void join_wait(ScheduleController* c, std::thread::id id) {
+  c->impl().join_wait(id);
+}
 
 }  // namespace internal
 
@@ -673,16 +676,13 @@ std::thread spawn_named(std::string name, std::function<void()> fn) {
   return std::thread(std::move(fn));
 }
 
-BlockingRegion::BlockingRegion() : controller_(nullptr) {
-  if (!points_compiled_in()) return;
-  if (ScheduleController* c = active()) {
-    controller_ = c;
-    internal::region_leave(c);
+void join(std::thread& thread) {
+  if (points_compiled_in()) {
+    if (ScheduleController* c = active()) {
+      internal::join_wait(c, thread.get_id());
+    }
   }
-}
-
-BlockingRegion::~BlockingRegion() {
-  if (controller_ != nullptr) internal::region_enter(controller_);
+  thread.join();
 }
 
 ScopedVirtualDelays::ScopedVirtualDelays() {

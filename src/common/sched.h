@@ -23,9 +23,9 @@
 //      virtualize condition-variable waits; sched::sleep_for_* turns
 //      sleeps into virtual-time delays so exploration never wall-clock
 //      sleeps.
-//   3. sched::spawn_named — thread creation handshakes with the controller
-//      so registration order (and therefore priority assignment) is
-//      deterministic.
+//   3. sched::spawn_named / sched::join — thread creation handshakes with
+//      the controller so registration order (and therefore priority
+//      assignment) is deterministic, and a join is a schedule decision.
 //
 // Everything is compiled out unless LOGLENS_SCHED_POINTS is 1 (defaults to
 // the same Debug/ASan/TSan detection as LOGLENS_LOCK_RANK_CHECKS); when
@@ -165,8 +165,7 @@ void cv_notify(ScheduleController* c, const void* cv);
 void sleep_virtual(ScheduleController* c, uint64_t us);
 std::thread spawn(ScheduleController* c, std::string name,
                   std::function<void()> fn);
-void region_leave(ScheduleController* c);
-void region_enter(ScheduleController* c);
+void join_wait(ScheduleController* c, std::thread::id id);
 
 }  // namespace internal
 
@@ -193,20 +192,13 @@ inline void sleep_for_ms(uint64_t ms) { sleep_for_us(ms * 1000); }
 // std::thread(fn).
 std::thread spawn_named(std::string name, std::function<void()> fn);
 
-// Marks a real blocking operation the controller cannot see through
-// (thread::join of a managed thread, blocking I/O). While inside, the
-// thread does not count toward deadlock detection, and the controller may
-// go idle waiting for it to return. Without a controller: no-op.
-class BlockingRegion {
- public:
-  BlockingRegion();
-  ~BlockingRegion();
-  BlockingRegion(const BlockingRegion&) = delete;
-  BlockingRegion& operator=(const BlockingRegion&) = delete;
-
- private:
-  ScheduleController* controller_;
-};
+// Joins a thread made by spawn_named. Under a controller the caller blocks,
+// as a schedule decision, until the thread has finished its function, and
+// then joins it without giving up the run token, so real timing never
+// reaches the schedule. A join on a thread that never finishes is reported
+// as a deadlock; joining a thread the controller did not spawn aborts with
+// a dump. Without a controller: thread.join().
+void join(std::thread& thread);
 
 // Controller-free virtual delays: while in scope, sched::sleep_for_* adds
 // the delay to a process-wide trace_clock offset instead of sleeping, so

@@ -2,6 +2,12 @@
 // log store. It reads the `ingest` topic as its own consumer, next to the
 // parser, and never produces to the broker: the parser consumes `ingest`
 // directly.
+//
+// Threading: one driver thread at a time calls pump()/drain(); which thread
+// that is may change between calls (LogLensService::drain() runs the
+// archive on a helper thread beside the parser). sources() and log_store()
+// reflect a pump()/drain() once it has returned — read them from the driver
+// thread, or after joining it. input_lag() is safe from any thread.
 #pragma once
 
 #include <cstdint>

@@ -2,7 +2,9 @@
 
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <fstream>
+#include <thread>
 
 #include "common/clock.h"
 #include "common/hash.h"
@@ -25,6 +27,14 @@ DocumentStoreOptions role_store_options(const ServiceOptions& o,
   if (s.faults == nullptr) s.faults = o.faults;
   return s;
 }
+
+// Joins `thread`, when one was started, as its scope exits.
+struct JoinOnExit {
+  std::thread& thread;
+  ~JoinOnExit() {
+    if (thread.joinable()) sched::join(thread);
+  }
+};
 
 }  // namespace
 
@@ -140,8 +150,7 @@ void LogLensService::stop() {
   // Supervisor first: it restarts runners on failure, so it must be gone
   // before the runners are told to stay down.
   if (supervising_.exchange(false) && supervisor_.joinable()) {
-    sched::BlockingRegion joining;
-    supervisor_.join();
+    sched::join(supervisor_);
   }
   if (!running_.exchange(false)) return;
   parser_runner_->stop();
@@ -198,12 +207,36 @@ void LogLensService::drain() {
   // place (checkpoint configured) and keeps draining — the rewound offsets
   // are reprocessed by later rounds.
   for (int round = 0; round < 32; ++round) {
-    size_t moved = log_manager_.drain();
+    const bool quiesced = !running_.load();
+    size_t moved = 0;
+    std::exception_ptr archive_error;
+    {
+      // The archive and the parser are independent consumers of `ingest`,
+      // so a quiesced service with logs to archive runs the log manager on
+      // a helper thread while this thread drains the parser, then the
+      // detector. The helper is joined when this scope closes.
+      std::thread archiver;
+      JoinOnExit join_archiver{archiver};
+      if (quiesced && log_manager_.input_lag() > 0) {
+        archiver = sched::spawn_named("archive", [&] {
+          try {
+            moved = log_manager_.drain();
+          } catch (...) {
+            archive_error = std::current_exception();
+          }
+        });
+      } else {
+        moved = log_manager_.drain();
+      }
+      if (quiesced) {
+        parser_runner_->drain();
+        detector_runner_->drain();
+      }
+    }
+    if (archive_error) std::rethrow_exception(archive_error);
     bool recovered = false;
     bool idle = true;
-    if (!running_.load()) {
-      parser_runner_->drain();
-      detector_runner_->drain();
+    if (quiesced) {
       if (parser_runner_->failed() || detector_runner_->failed()) {
         if (options_.checkpoint_path.empty()) break;  // leave failure visible
         recovered = recover().ok();

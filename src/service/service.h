@@ -86,6 +86,8 @@ class LogLensService {
   void stop();
 
   // Synchronous mode: process everything currently queued, end to end.
+  // Stopped, it archives on a helper thread while the calling thread parses
+  // and detects; the helper is joined before drain() returns.
   void drain();
 
   // Heartbeat controller ticks (also see HeartbeatController docs). Call

@@ -55,10 +55,7 @@ DocumentStore::DocumentStore(DocumentStoreOptions options)
 
 DocumentStore::~DocumentStore() {
   stop_.store(true, std::memory_order_relaxed);
-  if (compactor_.joinable()) {
-    sched::BlockingRegion blocking;
-    compactor_.join();
-  }
+  if (compactor_.joinable()) sched::join(compactor_);
 }
 
 std::string DocumentStore::segment_path(uint64_t base_id) const {
@@ -431,51 +428,6 @@ void DocumentStore::clear() {
     }
   }
   update_gauges(0, 0);
-}
-
-Status DocumentStore::save_jsonl(const std::string& path) const {
-  RankedMutexLock lock(mu_);
-  std::ofstream out(path);
-  if (!out) return Status::Error("cannot open for writing: " + path);
-  for (const auto& seg : segments_) {
-    for (uint32_t i = 0; i < seg->doc_count(); ++i) {
-      // Sealed rows are already the byte-exact dump() — stream verbatim.
-      const std::string_view row = seg->doc_bytes(i);
-      out.write(row.data(), static_cast<std::streamsize>(row.size()));
-      out.put('\n');
-    }
-  }
-  std::string line;
-  for (const auto& d : hot_docs_) {
-    line.clear();
-    d.dump_to(line);
-    out << line << '\n';
-  }
-  return out ? Status::Ok() : Status::Error("write failed: " + path);
-}
-
-Status DocumentStore::load_jsonl(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::Error("cannot open: " + path);
-  std::string line;
-  size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    auto doc = Json::parse(line);
-    if (!doc.ok()) {
-      return Status::Error(path + ":" + std::to_string(line_no) + ": " +
-                           doc.status().message());
-    }
-    if (!doc.value().is_object()) {
-      // A scalar or array line would be a document no term or range clause
-      // can ever reach — almost certainly a corrupt or foreign file.
-      return Status::Error(path + ":" + std::to_string(line_no) +
-                           ": not a JSON object");
-    }
-    insert(std::move(doc.value()));
-  }
-  return Status::Ok();
 }
 
 Status DocumentStore::flush() { return flush_internal(true); }

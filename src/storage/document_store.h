@@ -1,4 +1,4 @@
-// Tiered, JSONL-compatible document store — the Elasticsearch substitute.
+// Tiered JSON document store — the Elasticsearch substitute.
 //
 // The paper uses Elasticsearch for three roles: archiving raw logs by
 // source, storing learned models, and storing anomalies for human review,
@@ -144,14 +144,6 @@ class DocumentStore {
   // Drops every document, sealed segment files included. Ids restart at 0
   // (recover()'s exactly-once anomaly rebuild depends on both).
   void clear() LOGLENS_EXCLUDES(mu_);
-
-  // One JSON object per line, in id order (sealed rows are streamed
-  // verbatim). load_jsonl inserts line by line (taking the lock per
-  // document), so a concurrent reader sees a growing store, never a torn
-  // one; a line that is not a JSON object stops the load with an error
-  // identifying the line (documents inserted before it remain).
-  Status save_jsonl(const std::string& path) const LOGLENS_EXCLUDES(mu_);
-  Status load_jsonl(const std::string& path) LOGLENS_EXCLUDES(mu_);
 
   // Seals the current hot segment to disk (no-op when empty or in-memory).
   // On failure — injected or real — the hot segment is left intact and the

@@ -7,8 +7,8 @@
 //
 //   header   magic, payload size, fnv1a-64 checksum of the payload
 //   rows     per-doc serialized JSON (the byte-exact dump() of each doc),
-//            addressed by an offset table — materialization and save_jsonl
-//            read these verbatim
+//            addressed by an offset table; query materialization parses
+//            them back
 //   strings  per string field: a dictionary of distinct terms, a per-doc
 //            code column (0 = the doc's first value for this key is not a
 //            string), and a posting list of local ids per term

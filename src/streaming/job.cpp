@@ -52,12 +52,7 @@ void JobRunner::start() {
 
 void JobRunner::stop() {
   if (!running_.exchange(false)) return;
-  if (driver_.joinable()) {
-    // Real join; under a ScheduleController the driver still needs to be
-    // scheduled to observe running_ == false, so step outside its view.
-    sched::BlockingRegion joining;
-    driver_.join();
-  }
+  if (driver_.joinable()) sched::join(driver_);
 }
 
 std::string JobRunner::last_error() const {

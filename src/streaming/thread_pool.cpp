@@ -21,10 +21,7 @@ ThreadPool::~ThreadPool() {
     stop_ = true;
   }
   sched::cv_notify_all(work_cv_);
-  // The joins block for real; under a ScheduleController the workers still
-  // need to be scheduled to observe stop_, so step outside its view.
-  sched::BlockingRegion joining;
-  for (auto& w : workers_) w.join();
+  for (auto& w : workers_) sched::join(w);
 }
 
 void ThreadPool::submit(std::function<void()> task) {

@@ -197,6 +197,46 @@ TEST(ChaosTest, ProduceThatExhaustsRetriesLosesNoLine) {
   EXPECT_EQ(normalized(service.anomalies()), expected);
 }
 
+TEST(ChaosTest, FetchFaultsDuringOverlappedArchiveLoseNoLine) {
+  // drain() archives on a helper thread while it parses and detects, so
+  // the archive and the parser read `ingest` side by side. With fetch
+  // faults armed through the drain — each one an empty poll on whichever
+  // reader draws it — the archive must still hold every line exactly once
+  // and the anomaly report must equal the fault-free run's.
+  Dataset d = make_d1(0.05);
+  MetricsRegistry clean_registry;
+  auto expected = run_pipeline(d, &clean_registry, nullptr);
+  ASSERT_FALSE(expected.empty());
+
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    MetricsRegistry registry;
+    FaultInjector faults(seed, &registry);
+    ServiceOptions opts;
+    opts.build.discovery = recommended_discovery("D1");
+    opts.metrics = &registry;
+    opts.faults = &faults;
+    LogLensService service(opts);
+    service.train(d.training);
+    Agent agent = service.make_agent("D1");
+    agent.replay(d.testing);
+    FaultSpec fetch;
+    fetch.probability = 0.2;
+    fetch.max_triggers = 8;
+    faults.arm(kFaultSiteFetch, fetch);
+    service.drain();
+    EXPECT_GT(faults.triggered(kFaultSiteFetch), 0u);
+    service.heartbeat_advance(kDayMs);
+    service.drain();
+
+    EXPECT_FALSE(service.failed());
+    EXPECT_EQ(agent.lines_sent(), d.testing.size());
+    EXPECT_EQ(service.log_store().size(), agent.lines_sent());
+    EXPECT_EQ(service.broker().end_offset(opts.dead_letter_topic, 0), 0u);
+    EXPECT_EQ(normalized(service.anomalies()), expected);
+  }
+}
+
 TEST(ChaosTest, RecoverRewindsToCheckpointAndConverges) {
   Dataset d = make_d1(0.05);
   std::string path = temp_path("loglens_chaos_recover.json");

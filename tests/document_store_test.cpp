@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 
 #include "storage/stores.h"
 
@@ -78,48 +76,6 @@ TEST(DocumentStore, MissingFieldNeverMatches) {
   Query q;
   q.clauses.push_back(QueryClause::Range("ts", 0, 100));
   EXPECT_TRUE(store.query(q).empty());
-}
-
-TEST(DocumentStore, JsonlRoundTrip) {
-  namespace fs = std::filesystem;
-  std::string path =
-      (fs::temp_directory_path() / "loglens_store_test.jsonl").string();
-  {
-    DocumentStore store;
-    store.insert(doc("a", 1, "first"));
-    store.insert(doc("b", 2, "second \"quoted\""));
-    ASSERT_TRUE(store.save_jsonl(path).ok());
-  }
-  DocumentStore loaded;
-  ASSERT_TRUE(loaded.load_jsonl(path).ok());
-  EXPECT_EQ(loaded.size(), 2u);
-  Query q;
-  q.clauses.push_back(QueryClause::Term("source", "b"));
-  auto hits = loaded.query(q);
-  ASSERT_EQ(hits.size(), 1u);  // index rebuilt on load
-  EXPECT_EQ(hits[0].get_string("msg"), "second \"quoted\"");
-  std::remove(path.c_str());
-  EXPECT_FALSE(loaded.load_jsonl("/nonexistent/nowhere.jsonl").ok());
-}
-
-TEST(DocumentStore, LoadJsonlRejectsNonObjectLine) {
-  namespace fs = std::filesystem;
-  std::string path =
-      (fs::temp_directory_path() / "loglens_store_badline.jsonl").string();
-  {
-    std::ofstream out(path);
-    out << "{\"source\":\"a\",\"ts\":1}\n";
-    out << "[1,2,3]\n";  // an array is not a queryable document
-    out << "{\"source\":\"b\",\"ts\":2}\n";
-  }
-  DocumentStore store;
-  Status s = store.load_jsonl(path);
-  EXPECT_FALSE(s.ok());
-  EXPECT_NE(s.message().find(":2:"), std::string::npos)
-      << "error should name the offending line: " << s.message();
-  EXPECT_NE(s.message().find("not a JSON object"), std::string::npos)
-      << s.message();
-  std::remove(path.c_str());
 }
 
 // Satellite probe for the posting-list planner: a conjunction must be driven

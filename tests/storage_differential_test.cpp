@@ -4,17 +4,16 @@
 // Each seed replays a random workload — inserts of messy documents
 // (duplicate keys, doubles, missing fields, non-object values under keys),
 // explicit and threshold-driven flushes, compactions, queries with random
-// clause mixes and limits, JSONL save/load round trips, and hard kills that
-// drop the hot segment and reopen over the surviving segment files —
-// simultaneously against the DocumentStore under test and an embedded
-// reference that is just a vector plus the documented predicate. Every
+// clause mixes and limits, and hard kills that drop the hot segment and
+// reopen over the surviving segment files — simultaneously against the
+// DocumentStore under test and an embedded reference that is just a vector
+// plus the documented predicate. Every
 // query/count/get result must match the reference byte-for-byte (compared
 // through dump()), ids must stay stable across flush and compaction, and a
 // kill must recover exactly the flushed prefix.
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -141,12 +140,6 @@ std::string dump_all(const std::vector<Json>& docs) {
   return out;
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
-
 void check_equivalent(uint64_t seed, size_t op, const DocumentStore& store,
                       const ReferenceStore& ref, const Query& q) {
   SCOPED_TRACE("seed=" + std::to_string(seed) + " op=" + std::to_string(op));
@@ -201,16 +194,6 @@ void run_seed(uint64_t seed) {
       ASSERT_TRUE(store->flush().ok());
     } else if (roll < 93) {
       ASSERT_TRUE(store->compact().ok());
-    } else if (roll < 97) {
-      // JSONL round trip: the tiered save must be byte-identical to the
-      // reference dump, and load must rebuild an equivalent store.
-      const std::string path = dir + "/roundtrip.jsonl";
-      ASSERT_TRUE(store->save_jsonl(path).ok());
-      ASSERT_EQ(read_file(path), dump_all(ref.docs));
-      DocumentStore reloaded;  // in-memory
-      ASSERT_TRUE(reloaded.load_jsonl(path).ok());
-      ASSERT_EQ(reloaded.size(), ref.docs.size());
-      std::remove(path.c_str());
     } else {
       // Hard kill: the hot segment dies with the process; reopening over
       // the directory must recover exactly the flushed prefix, and ids

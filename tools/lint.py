@@ -36,6 +36,12 @@ Checks (see docs/STATIC_ANALYSIS.md):
      code sleeps via sched::sleep_for_* so every backoff/delay site is a
      schedule point the deterministic explorer can virtualize (and tests
      never burn wall-clock time on them).
+  8. Append discipline: src/ code must not write X.reserve(X.size() + ...)
+     with the same receiver on both sides. Reserving exactly the new size
+     on every append defeats geometric growth, so each call reallocates
+     and moves the whole container — a loop of appends turns quadratic
+     (the broker's partition appends once behaved so). Let push_back/insert
+     grow the container, or reserve a total computed up front.
 
 Usage:
   tools/lint.py              lint the repo (exit 1 on any violation)
@@ -109,6 +115,15 @@ ANNOTATION_ARGS = re.compile(
 # shim may touch std::this_thread (it implements the sanctioned sleep).
 THIS_THREAD = re.compile(r"\bstd::this_thread::(sleep_for|sleep_until|yield)\b")
 SCHED_SHIM = ("src/common/sched.h", "src/common/sched.cpp")
+
+# Rule 8: reserve(size() + n) on the same receiver. The receiver is a
+# dotted/arrow member chain; the lookbehind keeps a longer chain's suffix
+# (a.out.reserve(out.size() + 1)) from matching as its own receiver.
+RECEIVER = r"[A-Za-z_]\w*(?:(?:\.|->)[A-Za-z_]\w*)*"
+SELF_RESERVE = re.compile(
+    r"(?<![\w.>])(" + RECEIVER + r")\s*(\.|->)\s*reserve\s*\(\s*\1\s*\2"
+    r"\s*size\s*\(\s*\)\s*\+"
+)
 
 LINE_COMMENT = re.compile(r"//.*$")
 
@@ -215,6 +230,19 @@ def lint_text(text, rel):
                     "sched::sleep_for_ms/us (common/sched.h) so the delay "
                     "is a schedule point and virtualizes under the "
                     "deterministic explorer"
+                )
+
+    if rel.startswith("src/"):
+        for lineno, code in lines:
+            m = SELF_RESERVE.search(code)
+            if m:
+                recv, sep = m.group(1), m.group(2)
+                problems.append(
+                    f"{rel}:{lineno}: {recv}{sep}reserve({recv}{sep}"
+                    "size() + ...) defeats geometric growth, so a loop of "
+                    "appends reallocates and moves every element each time "
+                    "(quadratic); let the container grow, or reserve a "
+                    "total computed up front"
                 )
 
     if ANNOTATION.search(text) and rel != "src/common/thread_annotations.h":
@@ -409,6 +437,35 @@ SELF_TEST_CASES = [
     (
         "tests/fixture_sleep.cpp",
         "void f() { std::this_thread::sleep_for(1ms); }\n",
+        None,
+    ),
+    # Reserving the grown size on the same receiver makes appends quadratic...
+    (
+        "src/broker/fixture_reserve.cpp",
+        "void f(P& part, std::vector<M>& batch) {\n"
+        "  part.log.reserve(part.log.size() + batch.size());\n"
+        "}\n",
+        "defeats geometric growth",
+    ),
+    (
+        "src/streaming/fixture_reserve_arrow.cpp",
+        "void f(std::vector<int>* out) { out->reserve(out->size() + 1); }\n",
+        "defeats geometric growth",
+    ),
+    # ...but a different receiver, a total computed up front, a longer
+    # chain ending in the same name, and code outside src/ are all fine.
+    (
+        "src/storage/fixture_reserve_ok.cpp",
+        "void f() {\n"
+        "  offsets.reserve(docs.size() + 1);\n"
+        "  a.out.reserve(out.size() + 1);\n"
+        "  v.reserve(v.size() * 2);\n"
+        "}\n",
+        None,
+    ),
+    (
+        "tests/fixture_reserve.cpp",
+        "void f() { v.reserve(v.size() + 3); }\n",
         None,
     ),
     # Negative control: idiomatic code must pass clean.

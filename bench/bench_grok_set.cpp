@@ -1,27 +1,38 @@
-// Set-level GROK matching (ROADMAP item 2): the index-miss and discovery
-// paths with the whole pattern set compiled into one matcher
-// (grok/set_matcher.h) versus the per-pattern linear scan.
+// Set-level GROK matching (ROADMAP item 2): the index-miss path with the
+// whole pattern set compiled into one matcher (grok/set_matcher.h) versus
+// the per-pattern linear scan, on an adversarial model and on D4.
 //
-// The model is adversarial for the signature index: every pattern is
+// The adversarial model defeats the signature index: every pattern is
 // "svc<xyz> worker %{WORD:op} %{NUMBER:n} done" with a unique literal
 // service name, so all ~2000 patterns share one signature and every log's
 // candidate group is the whole model. The linear scan pays ~group/2 match
 // attempts per log; the set matcher pays one signature walk to build the
 // group and one token walk to pick the single matching candidate.
 //
+// D4 (3234 templates) is the other side of the walk selection: its
+// candidate groups hold tens of patterns, where the token walk loses to the
+// linear scan (LogParser::kDefaultSetScanMinGroup), so the default parser
+// must keep pace with the set-matcher-free one there.
+//
 // Stages (BENCH_grok_set.json, gated in CI by tools/bench_compare.py):
 //   grok_set_index_miss         logs/sec, set matcher on, index_capacity=1
 //                               (every log pays a group build + match scan)
 //   grok_set_linear             same workload, set matcher off
-//   grok_set_discovery_filter   logs/sec deciding known-pattern coverage in
-//                               discover_incremental's walk
+//   grok_set_discovery_filter   logs/sec of the bare token walk deciding
+//                               whether any pattern covers a log
 //   grok_set_attempt_reduction_x  match attempts per log, linear / set
 //                               (reported in the msgs_per_sec field so the
 //                               --min-rate gate applies; the acceptance
 //                               floor is 5x, the measured value ~1000x)
+//   grok_set_d4_default         logs/sec, default LogParser on the D4 model's
+//                               test split (warm index, best of 5 passes)
+//   grok_set_d4_linear          same, SetMatchMode::kDisabled
+//   grok_set_d4_speedup_x       grok_set_d4_default / grok_set_d4_linear
 //
-// Exits 1 in-process when the attempt reduction is under 5x or the two
-// configurations disagree on any parse outcome.
+// Exits 1 in-process when the attempt reduction is under 5x, when the D4
+// speedup is under 0.8x, or when two configurations disagree on any parse
+// outcome.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -31,6 +42,7 @@
 
 #include "bench/bench_util.h"
 #include "common/rng.h"
+#include "datagen/datasets.h"
 #include "grok/set_matcher.h"
 #include "json/json.h"
 #include "logmine/discoverer.h"
@@ -124,8 +136,7 @@ ParseRun run_parser(const std::vector<GrokPattern>& model,
 StageResult run_discovery_filter(const std::vector<GrokPattern>& model,
                                  Preprocessor& pre,
                                  const std::vector<TokenizedLog>& logs) {
-  // The discover_incremental front half: one token walk per log deciding
-  // whether any known pattern covers it.
+  // One token walk per log deciding whether any pattern covers it.
   const GrokSetMatcher matcher = GrokSetMatcher::compile_tokens(model);
   GrokSetScratch scratch;
   size_t covered = 0;
@@ -143,6 +154,61 @@ StageResult run_discovery_filter(const std::vector<GrokPattern>& model,
   std::printf("%s: %zu logs (%zu covered) in %.3fs = %.0f logs/sec\n",
               r.stage.c_str(), logs.size(), covered, secs, r.msgs_per_sec);
   return r;
+}
+
+struct D4Run {
+  StageResult default_run;
+  StageResult linear_run;
+  size_t mismatches = 0;  // logs whose outcomes differ between the two
+};
+
+// The default parser against the linear scan on D4: a warm-up pass fills
+// both signature indexes and compares every outcome, then five alternating
+// timed passes keep the best time of each.
+D4Run run_d4(double scale) {
+  Dataset d4 = make_d4(0.05 * scale);
+  auto pre = Preprocessor::create({}).value();
+  const auto patterns =
+      bench::discover_patterns(pre, bench::tokenize_all(pre, d4.training),
+                               recommended_discovery("D4"));
+  const auto test = bench::tokenize_all(pre, d4.testing);
+
+  LogParser by_default(patterns, pre.classifier());
+  LogParser linear(patterns, pre.classifier(), IndexMode::kEnabled,
+                   LogParser::kDefaultIndexCapacity, SetMatchMode::kDisabled);
+  D4Run run;
+  ParsedLog a;
+  ParsedLog b;
+  for (const auto& log : test) {
+    const bool ok_a = by_default.parse_into(log, a);
+    const bool ok_b = linear.parse_into(log, b);
+    if (ok_a != ok_b || (ok_a && a.to_json().dump() != b.to_json().dump())) {
+      ++run.mismatches;
+    }
+  }
+  auto timed_pass = [&](LogParser& parser) {
+    const auto t0 = std::chrono::steady_clock::now();
+    ParsedLog out;
+    for (const auto& log : test) parser.parse_into(log, out);
+    return seconds_since(t0);
+  };
+  double best_default = 1e30;
+  double best_linear = 1e30;
+  for (int round = 0; round < 5; ++round) {
+    best_default = std::min(best_default, timed_pass(by_default));
+    best_linear = std::min(best_linear, timed_pass(linear));
+  }
+  const auto n = static_cast<double>(test.size());
+  run.default_run = {"grok_set_d4_default", n / best_default};
+  run.linear_run = {"grok_set_d4_linear", n / best_linear};
+  std::printf("grok_set_d4_default: %zu logs x %zu patterns, best pass "
+              "%.3fs = %.0f logs/sec (%llu set walks)\n",
+              test.size(), patterns.size(), best_default,
+              run.default_run.msgs_per_sec,
+              static_cast<unsigned long long>(by_default.stats().set_walks));
+  std::printf("grok_set_d4_linear: best pass %.3fs = %.0f logs/sec\n",
+              best_linear, run.linear_run.msgs_per_sec);
+  return run;
 }
 
 void write_bench_json(const std::vector<StageResult>& results) {
@@ -202,6 +268,17 @@ int main() {
               static_cast<unsigned long long>(set_run.match_attempts),
               reduction.msgs_per_sec);
   results.push_back(reduction);
+
+  const auto d4 = loglens::run_d4(scale);
+  StageResult d4_speedup;
+  d4_speedup.stage = "grok_set_d4_speedup_x";
+  d4_speedup.msgs_per_sec =
+      d4.default_run.msgs_per_sec / d4.linear_run.msgs_per_sec;
+  std::printf("%s: default / linear = %.2fx\n", d4_speedup.stage.c_str(),
+              d4_speedup.msgs_per_sec);
+  results.push_back(d4.default_run);
+  results.push_back(d4.linear_run);
+  results.push_back(d4_speedup);
   loglens::write_bench_json(results);
 
   bool ok = true;
@@ -215,6 +292,17 @@ int main() {
   if (reduction.msgs_per_sec < 5.0) {
     std::printf("FAIL: attempt reduction %.1fx is under the 5x floor\n",
                 reduction.msgs_per_sec);
+    ok = false;
+  }
+  if (d4.mismatches != 0) {
+    std::printf("FAIL: D4 parse outcomes diverge on %zu logs\n",
+                d4.mismatches);
+    ok = false;
+  }
+  if (d4_speedup.msgs_per_sec < 0.8) {
+    std::printf("FAIL: default parser runs D4 at %.2fx the linear scan, "
+                "under the 0.8x floor\n",
+                d4_speedup.msgs_per_sec);
     ok = false;
   }
   return ok ? 0 : 1;

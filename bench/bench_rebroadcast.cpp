@@ -6,6 +6,7 @@
 
 #include "service/model.h"
 #include "service/tasks.h"
+#include "streaming/broadcast.h"
 #include "streaming/engine.h"
 
 namespace loglens {

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <iterator>
-#include <limits>
 
 #include "common/clock.h"
 #include "common/sched.h"
@@ -15,10 +14,6 @@ namespace {
 // transient) append failures. Capped exponential backoff: 1, 2, 4, 8 ms.
 constexpr int kProduceMaxAttempts = 5;
 constexpr int64_t kProduceBackoffCapMs = 8;
-
-// Sentinel offset for wait_for_data: no partition can ever exceed it, so an
-// entry holding it is effectively unwatched.
-constexpr uint64_t kIgnorePartition = std::numeric_limits<uint64_t>::max();
 
 void produce_backoff(int attempt) {
   int64_t ms = std::min<int64_t>(kProduceBackoffCapMs, 1LL << (attempt - 1));
@@ -259,36 +254,6 @@ std::vector<Message> Broker::fetch(const std::string& topic, size_t partition,
   const TopicData* data = find_topic(topic);
   if (data == nullptr || partition >= data->partitions.size()) return {};
   return copy_out(*data, partition, offset, max);
-}
-
-std::vector<Message> Broker::fetch_blocking(const std::string& topic,
-                                            size_t partition, uint64_t offset,
-                                            size_t max,
-                                            int64_t timeout_ms) const {
-  // Fault check once at entry (like a connection-level error); the re-fetch
-  // after each wakeup is internal and must not re-roll the dice.
-  if (fetch_fault(topic)) return {};
-  const uint64_t deadline_us =
-      trace_clock::now_us() +
-      (timeout_ms > 0 ? static_cast<uint64_t>(timeout_ms) * 1000 : 0);
-  for (;;) {
-    const TopicData* data = find_topic(topic);
-    if (data != nullptr && partition < data->partitions.size()) {
-      auto out = copy_out(*data, partition, offset, max);
-      if (!out.empty()) return out;
-    }
-    const uint64_t now_us = trace_clock::now_us();
-    if (now_us >= deadline_us) return {};
-    // Watch only the requested partition; sibling partitions are pinned to
-    // the ignore sentinel so their traffic cannot spin this wait.
-    const size_t nparts = data == nullptr ? 0 : data->partitions.size();
-    std::vector<uint64_t> offsets(std::max(nparts, partition + 1),
-                                  kIgnorePartition);
-    offsets[partition] = offset;
-    (void)wait_for_data(
-        topic, offsets,
-        static_cast<int64_t>((deadline_us - now_us + 999) / 1000));
-  }
 }
 
 bool Broker::wait_for_data(const std::string& topic,

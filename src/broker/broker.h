@@ -2,8 +2,9 @@
 //
 // LogLens uses Kafka "for shipping logs and communicating among different
 // components" (Section II-B): agents publish raw logs, the log manager and
-// parser consume them, and control messages (model instructions, heartbeats)
-// ride a tagged channel. This broker reproduces the delivery semantics those
+// parser consume them, and heartbeats ride the data channel under a tag
+// (model updates reach the engines through StreamEngine::enqueue_control,
+// not the bus). This broker reproduces the delivery semantics those
 // components rely on: named topics, a fixed partition count per topic,
 // strictly ordered append-only partitions, offset-based consumption, and
 // blocking polls with timeouts. Everything is in-process and thread-safe.
@@ -96,13 +97,6 @@ class Broker {
   // never an exception. Only the one partition's mutex is taken.
   std::vector<Message> fetch(const std::string& topic, size_t partition,
                              uint64_t offset, size_t max) const
-      LOGLENS_EXCLUDES(mu_);
-
-  // Blocks until at least one message is available past `offset` or
-  // `timeout_ms` elapses.
-  std::vector<Message> fetch_blocking(const std::string& topic,
-                                      size_t partition, uint64_t offset,
-                                      size_t max, int64_t timeout_ms) const
       LOGLENS_EXCLUDES(mu_);
 
   // Blocks until any partition p of `topic` has end_offset > offsets[p]

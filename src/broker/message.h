@@ -18,19 +18,18 @@ struct MessagePayload {
   virtual ~MessagePayload() = default;
 };
 
-// Control-channel tags (the paper routes heartbeats on the same data channel
-// "with a specific tag to indicate that it is a heartbeat message").
+// Channel tags (the paper routes heartbeats on the same data channel "with a
+// specific tag to indicate that it is a heartbeat message"). Model updates do
+// not ride the bus: they reach the engines through
+// StreamEngine::enqueue_control.
 inline constexpr const char* kTagData = "";
 inline constexpr const char* kTagHeartbeat = "heartbeat";
-inline constexpr const char* kTagControl = "control";
-// Periodic self-describing health reports (JobRunner metrics reports).
-inline constexpr const char* kTagMetrics = "metrics";
 
 struct Message {
   std::string key;        // partitioning key (e.g. event id or source)
-  std::string value;      // payload (raw log line or serialized instruction)
+  std::string value;      // payload (raw log line or serialized record)
   int64_t timestamp_ms = -1;  // log time, not wall time
-  std::string tag;        // kTagData / kTagHeartbeat / kTagControl
+  std::string tag;        // kTagData / kTagHeartbeat / kTagAnomaly (wire.h)
   std::string source;     // originating log source
   // Delivery identity, not content: a per-source-monotonic sequence number.
   // The broker stamps it (with the partition append offset) on the first

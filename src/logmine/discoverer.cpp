@@ -1,11 +1,9 @@
 #include "logmine/discoverer.h"
 
 #include <algorithm>
-#include <iterator>
 #include <unordered_map>
 
 #include "grok/edit.h"
-#include "grok/set_matcher.h"
 
 namespace loglens {
 
@@ -231,7 +229,7 @@ std::vector<GrokPattern> PatternDiscoverer::reduce(
   return clusters;
 }
 
-std::vector<GrokPattern> PatternDiscoverer::discover_raw(
+std::vector<GrokPattern> PatternDiscoverer::discover(
     const std::vector<TokenizedLog>& logs) const {
   std::vector<GrokPattern> patterns = level0(logs);
 
@@ -247,12 +245,7 @@ std::vector<GrokPattern> PatternDiscoverer::discover_raw(
       if (patterns.size() == before && threshold >= 1.0) break;
     }
   }
-  return patterns;
-}
 
-std::vector<GrokPattern> PatternDiscoverer::discover(
-    const std::vector<TokenizedLog>& logs) const {
-  std::vector<GrokPattern> patterns = discover_raw(logs);
   int id = 1;
   for (auto& p : patterns) {
     p.assign_field_ids(id++);
@@ -261,47 +254,6 @@ std::vector<GrokPattern> PatternDiscoverer::discover(
     }
   }
   return patterns;
-}
-
-std::vector<GrokPattern> PatternDiscoverer::discover_incremental(
-    const std::vector<TokenizedLog>& logs,
-    std::vector<GrokPattern> known) const {
-  if (known.empty()) return discover(logs);
-
-  // One token-level walk per log decides whether *any* known pattern parses
-  // it; only the novel remainder pays for clustering.
-  const GrokSetMatcher matcher = GrokSetMatcher::compile_tokens(known);
-  GrokSetScratch scratch;
-  std::vector<TokenizedLog> novel;
-  for (const auto& log : logs) {
-    bool covered = false;
-    if (matcher.match_tokens(log.tokens, classifier_, scratch)) {
-      covered = !scratch.result.empty();
-    } else {
-      // Active-set overflow: decide by the linear per-pattern scan instead.
-      for (const auto& p : known) {
-        if (p.match(log.tokens, classifier_)) {
-          covered = true;
-          break;
-        }
-      }
-    }
-    if (!covered) novel.push_back(log);
-  }
-  if (novel.empty()) return known;
-
-  std::vector<GrokPattern> fresh = discover_raw(novel);
-  int id = 0;
-  for (const auto& p : known) id = std::max(id, p.id());
-  for (auto& p : fresh) {
-    p.assign_field_ids(++id);
-    if (options_.heuristic_names) {
-      pattern_edit::apply_heuristic_names(p);
-    }
-  }
-  known.insert(known.end(), std::make_move_iterator(fresh.begin()),
-               std::make_move_iterator(fresh.end()));
-  return known;
 }
 
 }  // namespace loglens

@@ -67,25 +67,10 @@ class PatternDiscoverer {
   // given input order.
   std::vector<GrokPattern> discover(const std::vector<TokenizedLog>& logs) const;
 
-  // Incremental discovery against an existing model: logs some `known`
-  // pattern already parses are dropped up front — one set-matcher walk per
-  // log (grok/set_matcher.h), ~O(log length) instead of one match attempt
-  // per known pattern — and clustering runs only on the novel remainder.
-  // Returns `known` plus the newly discovered patterns, whose ids continue
-  // after the highest known id. With `known` empty this is exactly
-  // discover().
-  std::vector<GrokPattern> discover_incremental(
-      const std::vector<TokenizedLog>& logs,
-      std::vector<GrokPattern> known) const;
-
  private:
   std::vector<GrokPattern> level0(const std::vector<TokenizedLog>& logs) const;
   std::vector<GrokPattern> reduce(std::vector<GrokPattern> patterns,
                                   double threshold) const;
-  // The id-free pipeline (level 0 + reduction levels) shared by both entry
-  // points; callers assign pattern ids and heuristic names.
-  std::vector<GrokPattern> discover_raw(
-      const std::vector<TokenizedLog>& logs) const;
 
   DiscoveryOptions options_;
   const DatatypeClassifier& classifier_;

@@ -110,7 +110,7 @@ bool LogParser::match_core(const TokenizedLog& log, ParsedLog& out) {
     const std::vector<uint32_t>& group = candidate_group(sig_scratch_);
     bool scanned = false;
     if (set_match_mode_ == SetMatchMode::kAuto &&
-        group.size() >= set_scan_min_group_) {
+        group.size() >= kDefaultSetScanMinGroup) {
       // One token-level walk decides which candidates actually match; the
       // capture pass then runs on just the first group-ordered one of them
       // — the same pattern the linear scan would have stopped at, because

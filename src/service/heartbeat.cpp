@@ -7,11 +7,8 @@
 namespace loglens {
 
 HeartbeatController::HeartbeatController(Broker& broker,
-                                         HeartbeatOptions options,
                                          MetricsRegistry* metrics)
-    : broker_(broker),
-      options_(std::move(options)),
-      consumer_(broker, options_.watch_topic) {
+    : broker_(broker), consumer_(broker, kTopic) {
   registry_ = &registry_or_global(metrics);
   ticks_total_ = &registry_->counter("loglens_heartbeat_ticks_total", {},
                                      "Heartbeat controller sweeps");
@@ -66,7 +63,7 @@ size_t HeartbeatController::emit_all() {
     hb.timestamp_ms = clock.predicted_ts;
     hb.tag = kTagHeartbeat;
     hb.source = source;
-    broker_.produce(options_.emit_topic, std::move(hb));
+    broker_.produce(kTopic, std::move(hb));
     ++emitted;
   }
   emitted_total_->inc(emitted);
@@ -89,7 +86,7 @@ size_t HeartbeatController::tick() {
       // bounded below so expiry is eventually reached.
       auto advance = static_cast<int64_t>(clock.avg_logs_per_tick *
                                           clock.avg_gap_ms);
-      clock.predicted_ts += std::max(advance, options_.min_advance_ms);
+      clock.predicted_ts += std::max(advance, kMinAdvanceMs);
     }
     clock.logs_since_tick = 0;
   }

@@ -30,18 +30,17 @@
 
 namespace loglens {
 
-struct HeartbeatOptions {
-  std::string watch_topic = "parsed";
-  std::string emit_topic = "parsed";
-  // Lower bound on how far one tick advances predicted time when a source
-  // has gone quiet (so expiry is reached even for slow sources).
-  int64_t min_advance_ms = 1000;
-};
-
 class HeartbeatController {
  public:
-  HeartbeatController(Broker& broker, HeartbeatOptions options = {},
-                      MetricsRegistry* metrics = nullptr);
+  // Watches and emits on this topic: heartbeats ride the parsed-log channel
+  // into the detector stage.
+  static constexpr const char* kTopic = "parsed";
+  // Lower bound on how far one tick advances predicted time when a source
+  // has gone quiet (so expiry is reached even for slow sources).
+  static constexpr int64_t kMinAdvanceMs = 1000;
+
+  explicit HeartbeatController(Broker& broker,
+                               MetricsRegistry* metrics = nullptr);
 
   // Observes new parsed logs (updating per-source clocks), then emits one
   // heartbeat per active source. Returns the number of heartbeats emitted.
@@ -66,7 +65,6 @@ class HeartbeatController {
   size_t emit_all();
 
   Broker& broker_;
-  HeartbeatOptions options_;
   Consumer consumer_;
   std::map<std::string, SourceClock> sources_;
 

@@ -9,12 +9,6 @@ ModelBuilder::ModelBuilder(BuildOptions options)
 
 BuildResult ModelBuilder::build(
     const std::vector<std::string>& training_lines) const {
-  return build(training_lines, {});
-}
-
-BuildResult ModelBuilder::build(
-    const std::vector<std::string>& training_lines,
-    std::vector<GrokPattern> known_patterns) const {
   BuildResult result;
   result.training_logs = training_lines.size();
   const uint64_t t0 = trace_clock::now_us();
@@ -31,11 +25,7 @@ BuildResult ModelBuilder::build(
 
   const uint64_t t1 = trace_clock::now_us();
   PatternDiscoverer discoverer(options_.discovery, preprocessor.classifier());
-  result.model.patterns =
-      known_patterns.empty()
-          ? discoverer.discover(tokenized)
-          : discoverer.discover_incremental(tokenized,
-                                            std::move(known_patterns));
+  result.model.patterns = discoverer.discover(tokenized);
   const uint64_t t2 = trace_clock::now_us();
   result.discovery_seconds = static_cast<double>(t2 - t1) / 1e6;
 
@@ -129,23 +119,6 @@ StatusOr<BuildResult> ModelManager::rebuild(const std::string& name,
                                         source);
   }
   BuildResult result = builder.build(lines);
-  deploy(name, result.model);
-  return result;
-}
-
-StatusOr<BuildResult> ModelManager::rebuild_incremental(
-    const std::string& name, LogStore& logs, const std::string& source,
-    const ModelBuilder& builder) {
-  std::vector<std::string> lines = logs.fetch(source);
-  if (lines.empty()) {
-    return StatusOr<BuildResult>::Error("no archived logs for source: " +
-                                        source);
-  }
-  std::vector<GrokPattern> known;
-  if (auto current = get(name); current.ok()) {
-    known = std::move(current.value().patterns);
-  }
-  BuildResult result = builder.build(lines, std::move(known));
   deploy(name, result.model);
   return result;
 }

@@ -55,15 +55,6 @@ class ModelBuilder {
 
   BuildResult build(const std::vector<std::string>& training_lines) const;
 
-  // Incremental variant: seeds pattern discovery with an existing pattern
-  // set (PatternDiscoverer::discover_incremental) — lines a known pattern
-  // already parses skip clustering, and new patterns extend the set with ids
-  // continuing after the known ones. The sequence model and extension
-  // detectors are still relearned from the full corpus. With `known_patterns`
-  // empty this is exactly build().
-  BuildResult build(const std::vector<std::string>& training_lines,
-                    std::vector<GrokPattern> known_patterns) const;
-
  private:
   BuildOptions options_;
 };
@@ -112,15 +103,6 @@ class ModelManager {
   StatusOr<BuildResult> rebuild(const std::string& name, LogStore& logs,
                                 const std::string& source,
                                 const ModelBuilder& builder);
-
-  // Like rebuild, but seeds discovery with the latest deployed version's
-  // patterns (when one exists): stable pattern ids survive the relearn, and
-  // discovery cost scales with the *novel* portion of the archive, not its
-  // size. Falls back to a full build for a model never deployed.
-  StatusOr<BuildResult> rebuild_incremental(const std::string& name,
-                                            LogStore& logs,
-                                            const std::string& source,
-                                            const ModelBuilder& builder);
 
   StatusOr<CompositeModel> get(const std::string& name) const;
   void remove(const std::string& name);

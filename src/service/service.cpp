@@ -42,14 +42,12 @@ LogLensService::LogLensService(ServiceOptions options)
     : options_(std::move(options)),
       broker_(options_.metrics, options_.faults),
       log_manager_(broker_, role_store_options(options_, "logs")),
-      heartbeat_(broker_, HeartbeatOptions{"parsed", "parsed"},
-                 options_.metrics),
+      heartbeat_(broker_, options_.metrics),
       anomaly_store_(role_store_options(options_, "anomalies")),
       anomaly_sink_(broker_, "anomalies") {
   broker_.create_topic("ingest", 1);
   broker_.create_topic("parsed", 1);
   broker_.create_topic("anomalies", 1);
-  broker_.create_topic("metrics", 1);
   if (!options_.dead_letter_topic.empty()) {
     broker_.create_topic(options_.dead_letter_topic, 1);
   }
@@ -76,8 +74,9 @@ LogLensService::LogLensService(ServiceOptions options)
   };
   parser_engine_ = std::make_unique<StreamEngine>(
       parser_opts, [this](size_t p) -> std::unique_ptr<PartitionTask> {
-        return std::make_unique<ParserTask>(parser_broadcast_, p,
-                                            options_.parser, options_.metrics);
+        return std::make_unique<ParserTask>(
+            parser_broadcast_, p, options_.build.preprocessor,
+            options_.build.keywords, options_.metrics);
       });
 
   EngineOptions detector_opts;
@@ -100,7 +99,6 @@ LogLensService::LogLensService(ServiceOptions options)
   parser_job.output_topic = "parsed";
   parser_job.batch_size = 2048;
   parser_job.name = "parser";
-  parser_job.metrics_report_every = options_.metrics_report_every;
   parser_job.metrics = options_.metrics;
   parser_job.dead_letter_topic = options_.dead_letter_topic;
   parser_runner_ =
@@ -448,7 +446,7 @@ StatusOr<LogLensService::ReplayResult> LogLensService::replay_archive(
                                          source);
   }
 
-  auto pre = Preprocessor::create(options_.parser.preprocessor);
+  auto pre = Preprocessor::create(options_.build.preprocessor);
   if (!pre.ok()) pre = Preprocessor::create({});
   LogParser parser(model->patterns, pre->classifier());
   SequenceDetector detector(model->sequence, options_.detector);

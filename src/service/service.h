@@ -41,15 +41,15 @@ struct ServiceOptions {
   size_t parser_partitions = 2;
   size_t detector_partitions = 2;
   size_t workers = 2;
-  ParserTaskOptions parser;
   DetectorOptions detector;
   std::string model_name = "default";
+  // The one owner of the tokenizer and keyword settings: training, the
+  // parser stage, and replay_archive() all use these, so production logs
+  // tokenize exactly as the model's training corpus did.
   BuildOptions build;
   // Observability: registry every component reports into (nullptr -> the
-  // process-wide global one) and how often each JobRunner publishes a JSON
-  // health report to the "metrics" topic (0 disables the reports).
+  // process-wide global one).
   MetricsRegistry* metrics = nullptr;
-  size_t metrics_report_every = 64;
   // Fault tolerance (docs/FAULTS.md). `faults` is threaded into the broker
   // and both engines; poison messages land on `dead_letter_topic`.
   // `checkpoint_path` names the file checkpoint()/recover() use; with

@@ -25,11 +25,13 @@ uint64_t stat_delta(uint64_t current, uint64_t last) {
 }  // namespace
 
 ParserTask::ParserTask(std::shared_ptr<ModelBroadcast> model, size_t partition,
-                       ParserTaskOptions options, MetricsRegistry* metrics)
+                       PreprocessorOptions preprocessor,
+                       KeywordDetectorOptions keywords,
+                       MetricsRegistry* metrics)
     : model_(std::move(model)),
       partition_(partition),
-      options_(std::move(options)),
-      preprocessor_(make_preprocessor(options_.preprocessor)) {
+      keyword_options_(std::move(keywords)),
+      preprocessor_(make_preprocessor(std::move(preprocessor))) {
   MetricsRegistry& registry = registry_or_global(metrics);
   MetricLabels labels{{"partition", std::to_string(partition)}};
   logs_total_ = &registry.counter("loglens_parser_logs_total", labels,
@@ -74,16 +76,14 @@ void ParserTask::refresh_model(size_t partition) {
   if (parser_ != nullptr) sync_stats();  // flush before the stats reset
   current_ = std::move(fresh);
   parser_ = std::make_unique<LogParser>(current_->patterns,
-                                        preprocessor_.classifier(),
-                                        IndexMode::kEnabled,
-                                        options_.parser_index_capacity);
+                                        preprocessor_.classifier());
   synced_ = {};
   id_fields_ = current_->sequence.id_fields;
   keywords_.reset();
-  if (options_.check_keywords && current_->keyword_model.is_object() &&
+  if (current_->keyword_model.is_object() &&
       !current_->keyword_model.as_object().empty()) {
     auto detector =
-        KeywordDetector::from_json(current_->keyword_model, options_.keywords);
+        KeywordDetector::from_json(current_->keyword_model, keyword_options_);
     if (detector.ok()) {
       keywords_ =
           std::make_unique<KeywordDetector>(std::move(detector.value()));
@@ -128,8 +128,6 @@ void ParserTask::process(const Message& message, TaskContext& ctx) {
     if (partition_ == 0) ctx.emit(message);
     return;
   }
-  if (message.tag == kTagControl) return;
-
   refresh_model(partition_);
 
   // Delivery identity for emitted children: 32 seq slots per input log keep
@@ -180,8 +178,7 @@ void ParserTask::process(const Message& message, TaskContext& ctx) {
   ParsedLog& parsed = parsed_;
 
   // Extension: KPI range checks on the parsed fields.
-  if (options_.check_field_ranges &&
-      current_->field_ranges.tracked_fields() > 0) {
+  if (current_->field_ranges.tracked_fields() > 0) {
     for (const auto& a :
          current_->field_ranges.check(parsed, message.source)) {
       stateless_anomalies_total_->inc();
@@ -283,7 +280,6 @@ void DetectorTask::sync_stats() {
 void DetectorTask::on_batch_end(TaskContext& /*ctx*/) { sync_stats(); }
 
 void DetectorTask::process(const Message& message, TaskContext& ctx) {
-  if (message.tag == kTagControl) return;
   // Dedup guard (data and anomaly messages only — heartbeats are idempotent
   // sweeps and carry no per-source identity). Within a partition the seqs a
   // source delivers are strictly increasing, so seq <= watermark means this

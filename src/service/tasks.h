@@ -19,6 +19,7 @@
 #include "parser/log_parser.h"
 #include "service/model.h"
 #include "service/wire.h"
+#include "streaming/broadcast.h"
 #include "streaming/engine.h"
 #include "tokenize/preprocessor.h"
 
@@ -26,20 +27,13 @@ namespace loglens {
 
 using ModelBroadcast = Broadcast<CompositeModel>;
 
-struct ParserTaskOptions {
-  PreprocessorOptions preprocessor;
-  // Bound on the parser's signature index (LRU-evicted beyond this).
-  size_t parser_index_capacity = LogParser::kDefaultIndexCapacity;
-  // Run the extension detectors when the model carries them.
-  bool check_field_ranges = true;
-  bool check_keywords = true;
-  KeywordDetectorOptions keywords;
-};
-
 class ParserTask : public PartitionTask {
  public:
+  // `preprocessor` and `keywords` are the options the model was trained
+  // with (ServiceOptions::build), so production logs tokenize exactly like
+  // the training corpus did.
   ParserTask(std::shared_ptr<ModelBroadcast> model, size_t partition,
-             ParserTaskOptions options = {},
+             PreprocessorOptions preprocessor, KeywordDetectorOptions keywords,
              MetricsRegistry* metrics = nullptr);
 
   void process(const Message& message, TaskContext& ctx) override;
@@ -55,7 +49,7 @@ class ParserTask : public PartitionTask {
 
   std::shared_ptr<ModelBroadcast> model_;
   size_t partition_;
-  ParserTaskOptions options_;
+  KeywordDetectorOptions keyword_options_;
   Preprocessor preprocessor_;
   std::shared_ptr<const CompositeModel> current_;
   std::unique_ptr<LogParser> parser_;
@@ -130,7 +124,7 @@ class DetectorTask : public PartitionTask {
   // At-least-once dedup guard: highest Message::seq already processed per
   // source. Redelivered copies (engine retry after a mid-mutation throw, or
   // offset replay after recovery without a state rollback) are skipped so
-  // the detector never double-applies a log. Heartbeats/control are exempt
+  // the detector never double-applies a log. Heartbeats are exempt
   // (idempotent); cleared by restore_state (the rollback re-legitimizes
   // replays).
   std::map<std::string, int64_t> seen_seq_;

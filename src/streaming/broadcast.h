@@ -27,25 +27,15 @@
 
 namespace loglens {
 
-class BroadcastBase {
- public:
-  virtual ~BroadcastBase() = default;
-  uint64_t id() const { return id_; }
-
- protected:
-  explicit BroadcastBase(uint64_t id) : id_(id) {}
-
- private:
-  uint64_t id_;
-};
-
 template <typename T>
-class Broadcast : public BroadcastBase {
+class Broadcast {
  public:
   Broadcast(uint64_t id, T value, size_t num_partitions)
-      : BroadcastBase(id),
+      : id_(id),
         driver_value_(std::make_shared<const T>(std::move(value))),
         caches_(num_partitions) {}
+
+  uint64_t id() const { return id_; }
 
   // Worker-side getValue() for one partition. Returns the partition's cached
   // copy on version match; otherwise pulls from the driver and re-caches.
@@ -100,6 +90,7 @@ class Broadcast : public BroadcastBase {
     uint64_t version LOGLENS_GUARDED_BY(mu) = 0;
   };
 
+  const uint64_t id_;
   // Taken by control ops running under the engine's control phase, pinning
   // kEngineControl < kBroadcastDriver.
   RankedMutex driver_mu_{lock_rank::kBroadcastDriver};

@@ -20,8 +20,6 @@ JobRunner::JobRunner(Broker& broker, StreamEngine& engine, JobOptions options)
                                      "Micro-batches pulled from the broker");
   records_total_ = &registry.counter("loglens_job_records_total", labels,
                                      "Messages consumed from the input topic");
-  reports_total_ = &registry.counter("loglens_job_metrics_reports_total",
-                                     labels, "Health reports emitted");
   failures_total_ = &registry.counter(
       "loglens_job_failures_total", labels,
       "Fatal batches that parked this job pending recovery");
@@ -77,30 +75,14 @@ void JobRunner::mark_failed(const char* what) {
   failures_total_->inc();
 }
 
-Json JobRunner::metrics_report() const {
-  JsonObject obj;
-  obj.emplace_back("job", Json(options_.name));
-  obj.emplace_back("batches", Json(static_cast<int64_t>(batches_.load())));
-  obj.emplace_back("records_in",
-                   Json(static_cast<int64_t>(records_in_.load())));
-  obj.emplace_back("input_lag", Json(static_cast<int64_t>(consumer_.lag())));
-  obj.emplace_back("engine_batches",
-                   Json(static_cast<int64_t>(engine_.batches_run())));
-  obj.emplace_back("failed", Json(failed_.load()));
-  return Json(std::move(obj));
-}
-
 void JobRunner::produce_with_retry(const std::string& topic, Message message) {
-  for (size_t attempt = 1; attempt <= options_.produce_max_attempts;
-       ++attempt) {
+  for (size_t attempt = 1; attempt <= kProduceMaxAttempts; ++attempt) {
     // The broker already absorbs transient faults with its own client-style
     // retry loop; a Status error here means that budget is spent too.
     if (broker_.produce(topic, message).ok()) return;
-    if (attempt == options_.produce_max_attempts) break;
+    if (attempt == kProduceMaxAttempts) break;
     produce_retries_total_->inc();
-    if (options_.produce_retry_ms > 0) {
-      sched::sleep_for_ms(static_cast<uint64_t>(options_.produce_retry_ms));
-    }
+    sched::sleep_for_ms(static_cast<uint64_t>(kProduceRetryMs));
   }
   // Undeliverable output: dead-letter it rather than lose it silently. If
   // even the dead-letter produce fails, counting is all that is left.
@@ -175,7 +157,7 @@ void JobRunner::process_batch(std::vector<Message> batch) {
     file_span(".queue_wait", trace::new_span_id(), pipeline_ctx.span_id,
               batch_number, queue_start_us, dequeue_us - queue_start_us);
   }
-  uint64_t batches = batches_.fetch_add(1) + 1;
+  batches_.fetch_add(1);
   batches_total_->inc();
   input_lag_->set(static_cast<int64_t>(consumer_.lag()));
   const uint64_t publish_start_us = trace_clock::now_us();
@@ -207,15 +189,6 @@ void JobRunner::process_batch(std::vector<Message> batch) {
     file_span(".pipeline", pipeline_ctx.span_id, upstream_span, batch_number,
               dequeue_us, publish_end_us - dequeue_us);
   }
-  if (options_.metrics_report_every > 0 &&
-      batches % options_.metrics_report_every == 0) {
-    Message report;
-    report.tag = kTagMetrics;
-    report.source = options_.name;
-    report.value = metrics_report().dump();
-    broker_.produce(options_.metrics_topic, std::move(report));
-    reports_total_->inc();
-  }
 }
 
 void JobRunner::loop() {
@@ -224,12 +197,10 @@ void JobRunner::loop() {
     if (failed_.load()) {
       // Parked pending recovery: the supervisor stops this runner, repairs
       // state/offsets, clears the failure, and restarts it.
-      sched::sleep_for_ms(static_cast<uint64_t>(options_.poll_timeout_ms));
+      sched::sleep_for_ms(static_cast<uint64_t>(kPollTimeoutMs));
       continue;
     }
-    auto batch =
-        consumer_.poll_blocking(options_.batch_size, options_.poll_timeout_ms,
-                                options_.poll_min_batch);
+    auto batch = consumer_.poll_blocking(options_.batch_size, kPollTimeoutMs);
     if (batch.empty()) continue;
     try {
       process_batch(std::move(batch));

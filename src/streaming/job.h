@@ -16,7 +16,6 @@
 #include "broker/broker.h"
 #include "common/lock_rank.h"
 #include "common/thread_annotations.h"
-#include "json/json.h"
 #include "metrics/metrics.h"
 #include "streaming/engine.h"
 
@@ -26,30 +25,26 @@ struct JobOptions {
   std::string input_topic;
   std::string output_topic;  // empty: outputs are dropped
   size_t batch_size = 1024;
-  int64_t poll_timeout_ms = 20;
-  // Low watermark for the blocking poll: the driver keeps accumulating
-  // until this many messages are in hand (or the poll times out), so a
-  // trickle of input still forms real batches instead of batch-per-message
-  // churn. 1 = wake on the first message (lowest latency).
-  size_t poll_min_batch = 1;
-  // Observability. `name` labels this job's metrics; when
-  // `metrics_report_every` > 0, a kTagMetrics message with a JSON health
-  // report is produced to `metrics_topic` every N batches.
+  // Observability. `name` labels this job's metrics.
   std::string name = "job";
-  size_t metrics_report_every = 0;
-  std::string metrics_topic = "metrics";
   MetricsRegistry* metrics = nullptr;  // nullptr -> the global registry
   // Fault tolerance. Poison messages the engine gives up on, and outputs
   // whose produce exhausts its retries, land on `dead_letter_topic` (empty:
   // they are dropped after being counted). Output produces are themselves
-  // retried `produce_max_attempts` times with capped backoff.
+  // retried JobRunner::kProduceMaxAttempts times.
   std::string dead_letter_topic = "";
-  size_t produce_max_attempts = 5;
-  int64_t produce_retry_ms = 1;
 };
 
 class JobRunner {
  public:
+  // The driver's blocking poll wakes on the first message, or after this
+  // long with none (also the parked driver's recheck interval).
+  static constexpr int64_t kPollTimeoutMs = 20;
+  // Job-level produce attempts per undeliverable output (on top of the
+  // broker's own retry loop), kProduceRetryMs apart.
+  static constexpr size_t kProduceMaxAttempts = 5;
+  static constexpr int64_t kProduceRetryMs = 1;
+
   JobRunner(Broker& broker, StreamEngine& engine, JobOptions options);
   ~JobRunner();
 
@@ -88,10 +83,6 @@ class JobRunner {
   }
   void seek(const std::vector<uint64_t>& offsets) { consumer_.seek(offsets); }
 
-  // The JSON health report emitted every `metrics_report_every` batches
-  // (also handy for tests and ad-hoc inspection).
-  Json metrics_report() const;
-
  private:
   void loop();
   void process_batch(std::vector<Message> batch);
@@ -115,7 +106,6 @@ class JobRunner {
   MetricsRegistry* registry_ = nullptr;
   Counter* batches_total_ = nullptr;
   Counter* records_total_ = nullptr;
-  Counter* reports_total_ = nullptr;
   Counter* failures_total_ = nullptr;
   Counter* dead_letters_total_ = nullptr;
   Counter* produce_retries_total_ = nullptr;

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <thread>
@@ -354,10 +355,14 @@ TEST(BrokerShardStress, ConcurrentProduceFetchAcrossPartitions) {
   std::vector<std::thread> readers;
   for (size_t p = 0; p < kPartitions; ++p) {
     readers.emplace_back([&, p] {
+      // Watch only partition p: the others sit at an offset no partition
+      // reaches, so their traffic cannot wake this reader.
+      std::vector<uint64_t> watch(kPartitions, UINT64_MAX);
       uint64_t offset = 0;
       while (consumed.load(std::memory_order_relaxed) < total) {
-        auto got =
-            broker.fetch_blocking("t", p, offset, 64, /*timeout_ms=*/100);
+        watch[p] = offset;
+        (void)broker.wait_for_data("t", watch, /*timeout_ms=*/100);
+        auto got = broker.fetch("t", p, offset, 64);
         for (auto& m : got) seen[p].push_back(std::move(m.value));
         offset += got.size();
         consumed.fetch_add(got.size(), std::memory_order_relaxed);

@@ -83,31 +83,6 @@ TEST(Broker, FetchOffsetsAndLimits) {
   EXPECT_TRUE(broker.fetch("no", 0, 0, 100).empty());  // bad topic
 }
 
-TEST(Broker, BlockingFetchTimesOut) {
-  Broker broker;
-  broker.create_topic("t", 1);
-  auto start = std::chrono::steady_clock::now();
-  auto out = broker.fetch_blocking("t", 0, 0, 10, 50);
-  auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_TRUE(out.empty());
-  EXPECT_GE(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
-                .count(),
-            40);
-}
-
-TEST(Broker, BlockingFetchWakesOnProduce) {
-  Broker broker;
-  broker.create_topic("t", 1);
-  std::thread producer([&broker] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    broker.produce("t", msg("k", "wake"));
-  });
-  auto out = broker.fetch_blocking("t", 0, 0, 10, 2000);
-  producer.join();
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].value, "wake");
-}
-
 TEST(Consumer, PollAdvancesOffsets) {
   Broker broker;
   broker.create_topic("t", 2);

@@ -208,57 +208,5 @@ TEST_F(DiscovererTest, EmptyInput) {
   EXPECT_TRUE(discover({"", "   "}).empty());
 }
 
-TEST_F(DiscovererTest, IncrementalWithEmptyKnownEqualsDiscover) {
-  std::vector<std::string> lines = {
-      "worker 1 heartbeat ok",
-      "worker 2 heartbeat ok",
-      "db connect 10.0.0.1 failed",
-      "db connect 10.0.0.2 failed",
-  };
-  auto full = discover(lines);
-  PatternDiscoverer d({}, pre_.classifier());
-  auto inc = d.discover_incremental(tokenize(lines), {});
-  ASSERT_EQ(inc.size(), full.size());
-  for (size_t i = 0; i < full.size(); ++i) {
-    EXPECT_EQ(inc[i].id(), full[i].id());
-    EXPECT_EQ(inc[i].to_string(), full[i].to_string());
-  }
-}
-
-TEST_F(DiscovererTest, IncrementalReturnsKnownUnchangedWhenNothingIsNovel) {
-  auto known = discover({"worker 1 heartbeat ok", "worker 2 heartbeat ok"});
-  ASSERT_EQ(known.size(), 1u);
-  PatternDiscoverer d({}, pre_.classifier());
-  auto result = d.discover_incremental(
-      tokenize({"worker 7 heartbeat ok", "worker 99 heartbeat ok"}), known);
-  ASSERT_EQ(result.size(), 1u);
-  EXPECT_EQ(result[0].id(), known[0].id());
-  EXPECT_EQ(result[0].to_string(), known[0].to_string());
-}
-
-TEST_F(DiscovererTest, IncrementalAppendsNovelWithContinuedIds) {
-  auto known = discover({"worker 1 heartbeat ok", "worker 2 heartbeat ok"});
-  ASSERT_EQ(known.size(), 1u);
-  known[0].assign_field_ids(7);  // simulate a model with higher ids
-  PatternDiscoverer d({}, pre_.classifier());
-  auto result = d.discover_incremental(tokenize({
-                                           "worker 5 heartbeat ok",
-                                           "db connect 10.0.0.1 failed",
-                                           "db connect 10.0.0.2 failed",
-                                       }),
-                                       known);
-  ASSERT_EQ(result.size(), 2u);
-  EXPECT_EQ(result[0].id(), 7);  // known survives untouched, in place
-  EXPECT_EQ(result[0].to_string(), known[0].to_string());
-  EXPECT_EQ(result[1].id(), 8);  // novel continues after the highest known id
-  EXPECT_TRUE(result[1].match(pre_.process("db connect 10.0.0.3 failed").tokens,
-                              pre_.classifier()));
-  // The covered log did not spawn a duplicate of the known pattern.
-  for (size_t i = 1; i < result.size(); ++i) {
-    EXPECT_FALSE(result[i].match(pre_.process("worker 5 heartbeat ok").tokens,
-                                 pre_.classifier()));
-  }
-}
-
 }  // namespace
 }  // namespace loglens

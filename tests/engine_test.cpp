@@ -7,6 +7,8 @@
 #include <map>
 #include <thread>
 
+#include "streaming/broadcast.h"
+
 namespace loglens {
 namespace {
 

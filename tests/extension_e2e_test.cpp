@@ -52,6 +52,18 @@ TEST(ExtensionE2E, KeywordAlertsFlowThroughPipeline) {
   EXPECT_EQ(alerts[0].source, "api");
 }
 
+TEST(ExtensionE2E, KeywordListComesFromBuildOptions) {
+  // The parser stage checks the keywords the model was built with.
+  ServiceOptions opts = extension_options();
+  opts.build.keywords.keywords = {"oom"};
+  LogLensService service(opts);
+  service.train(training_lines());
+  Agent agent = service.make_agent("api");
+  agent.send_line("2016/02/23 10:00:03 kernel oom killer invoked");
+  service.drain();
+  EXPECT_EQ(service.anomalies().count_by_type(AnomalyType::kKeywordAlert), 1u);
+}
+
 TEST(ExtensionE2E, FieldRangeAlertsFlowThroughPipeline) {
   LogLensService service(extension_options());
   service.train(training_lines());

@@ -216,9 +216,18 @@ TEST_F(GrokSetMatcherTest, TokenWalkAgreesWithLinearScan) {
 
 // The end-to-end guarantee the refactor rests on: a parser with the set
 // matcher enabled produces byte-identical outcomes to the linear-scan
-// parser, on every path (index hit, index miss, eviction churn, unparsed).
+// parser, on every path (index hit, index miss, eviction churn, unparsed,
+// token walk over a large candidate group).
 TEST_F(GrokSetMatcherTest, ParserOutcomesAreByteIdenticalToLinearScan) {
   Rng rng(987);
+  // A shared-signature family big enough that its candidate group takes the
+  // token walk: "svc<abc> worker %{WORD:op} %{NUMBER:n} done" with a unique
+  // literal service name per pattern.
+  constexpr size_t kFamily = LogParser::kDefaultSetScanMinGroup + 32;
+  auto svc = [](size_t i) {
+    return "svc" + std::string(1, static_cast<char>('a' + i / 26 % 26)) +
+           std::string(1, static_cast<char>('a' + i % 26));
+  };
   std::vector<std::string> corpus;
   for (int i = 0; i < 120; ++i) {
     corpus.push_back("worker " + std::to_string(i % 17) + " heartbeat ok");
@@ -228,15 +237,29 @@ TEST_F(GrokSetMatcherTest, ParserOutcomesAreByteIdenticalToLinearScan) {
     corpus.push_back("db connect " + rng.ident(5) + " latency " +
                      std::to_string(i) + " ms");
     corpus.push_back(rng.ident(4) + " unmodeled " + rng.hex(8));  // unparsed
+    // Family members, plus a name outside the family (same signature,
+    // unparsed by the family).
+    corpus.push_back(svc(rng.below(kFamily)) + " worker start " +
+                     std::to_string(i) + " done");
+    corpus.push_back(svc(kFamily + rng.below(20)) + " worker stop " +
+                     std::to_string(i) + " done");
   }
   // Model from discovery over a prefix, so later logs exercise both parsed
-  // and unparsed outcomes; shuffle to churn the signature index.
+  // and unparsed outcomes, plus the family; shuffle to churn the signature
+  // index.
   std::vector<TokenizedLog> tokenized;
   for (const auto& line : corpus) tokenized.push_back(pre_.process(line));
   PatternDiscoverer discoverer({}, pre_.classifier());
-  std::vector<GrokPattern> patterns = discoverer.discover(
-      {tokenized.begin(), tokenized.begin() + 60});
+  std::vector<GrokPattern> patterns =
+      discoverer.discover({tokenized.begin(), tokenized.begin() + 60});
   ASSERT_FALSE(patterns.empty());
+  int next_id = static_cast<int>(patterns.size()) + 1;
+  for (size_t i = 0; i < kFamily; ++i) {
+    auto p = GrokPattern::parse(svc(i) + " worker %{WORD:op} %{NUMBER:n} done");
+    ASSERT_TRUE(p.ok());
+    p->assign_field_ids(next_id++);
+    patterns.push_back(std::move(p.value()));
+  }
   for (size_t i = corpus.size(); i > 1; --i) {
     std::swap(tokenized[i - 1], tokenized[rng.below(i)]);
   }
@@ -253,7 +276,6 @@ TEST_F(GrokSetMatcherTest, ParserOutcomesAreByteIdenticalToLinearScan) {
   for (const auto& cfg : configs) {
     LogParser with_set(patterns, pre_.classifier(), cfg.index, cfg.capacity,
                        SetMatchMode::kAuto);
-    with_set.set_set_scan_min_group(0);  // walk on every group size
     LogParser without(patterns, pre_.classifier(), cfg.index, cfg.capacity,
                       SetMatchMode::kDisabled);
     for (const auto& log : tokenized) {

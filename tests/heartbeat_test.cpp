@@ -20,7 +20,7 @@ Message parsed(const char* source, int64_t ts) {
 TEST(Heartbeat, EmitsOnePerActiveSource) {
   Broker broker;
   broker.create_topic("parsed", 1);
-  HeartbeatController hb(broker, {"parsed", "parsed", 1000});
+  HeartbeatController hb(broker);
   broker.produce("parsed", parsed("A", 1000));
   broker.produce("parsed", parsed("B", 2000));
   EXPECT_EQ(hb.tick(), 2u);
@@ -34,7 +34,7 @@ TEST(Heartbeat, EmitsOnePerActiveSource) {
 TEST(Heartbeat, CarriesObservedLogTimeWhileActive) {
   Broker broker;
   broker.create_topic("parsed", 1);
-  HeartbeatController hb(broker, {"parsed", "parsed", 1000});
+  HeartbeatController hb(broker);
   broker.produce("parsed", parsed("A", 5000));
   hb.tick();
   auto msgs = broker.fetch("parsed", 0, 1, 10);
@@ -46,7 +46,7 @@ TEST(Heartbeat, CarriesObservedLogTimeWhileActive) {
 TEST(Heartbeat, ExtrapolatesWhenSourceGoesQuiet) {
   Broker broker;
   broker.create_topic("parsed", 1);
-  HeartbeatController hb(broker, {"parsed", "parsed", 1000});
+  HeartbeatController hb(broker);
   // Establish a rate: 10 logs, 100ms apart, in one tick window.
   for (int i = 0; i < 10; ++i) {
     broker.produce("parsed", parsed("A", 1000 + i * 100));
@@ -65,20 +65,20 @@ TEST(Heartbeat, ExtrapolatesWhenSourceGoesQuiet) {
 TEST(Heartbeat, MinAdvanceBoundsQuietExtrapolation) {
   Broker broker;
   broker.create_topic("parsed", 1);
-  HeartbeatController hb(broker, {"parsed", "parsed", 60'000});
+  HeartbeatController hb(broker);
   broker.produce("parsed", parsed("A", 1000));
   hb.tick();
   uint64_t offset = broker.end_offset("parsed", 0);
-  hb.tick();  // quiet: advance >= 60s
+  hb.tick();  // quiet, with no observed gap: advance by the floor alone
   auto msgs = broker.fetch("parsed", 0, offset, 10);
   ASSERT_EQ(msgs.size(), 1u);
-  EXPECT_GE(msgs[0].timestamp_ms, 61'000);
+  EXPECT_EQ(msgs[0].timestamp_ms, 1000 + HeartbeatController::kMinAdvanceMs);
 }
 
 TEST(Heartbeat, TickAdvanceForcesLogTimeForward) {
   Broker broker;
   broker.create_topic("parsed", 1);
-  HeartbeatController hb(broker, {"parsed", "parsed", 1000});
+  HeartbeatController hb(broker);
   broker.produce("parsed", parsed("A", 10'000));
   EXPECT_EQ(hb.tick_advance(500'000), 1u);
   auto msgs = broker.fetch("parsed", 0, 1, 10);
@@ -89,7 +89,7 @@ TEST(Heartbeat, TickAdvanceForcesLogTimeForward) {
 TEST(Heartbeat, IgnoresNonDataMessages) {
   Broker broker;
   broker.create_topic("parsed", 1);
-  HeartbeatController hb(broker, {"parsed", "parsed", 1000});
+  HeartbeatController hb(broker);
   Message anomaly;
   anomaly.tag = kTagAnomaly;
   anomaly.source = "A";
@@ -107,7 +107,7 @@ TEST(Heartbeat, IgnoresNonDataMessages) {
 TEST(Heartbeat, NoSourcesNoHeartbeats) {
   Broker broker;
   broker.create_topic("parsed", 1);
-  HeartbeatController hb(broker, {"parsed", "parsed", 1000});
+  HeartbeatController hb(broker);
   EXPECT_EQ(hb.tick(), 0u);
   EXPECT_EQ(hb.tick_advance(1000), 0u);
 }

@@ -42,7 +42,7 @@ TEST(JobRunner, DrainProcessesBacklogSynchronously) {
     broker.produce("in", msg("k" + std::to_string(i), "hello"));
   }
   StreamEngine engine = make_engine();
-  JobRunner runner(broker, engine, {"in", "out", 4, 10});
+  JobRunner runner(broker, engine, {"in", "out", 4});
   runner.drain();
   EXPECT_EQ(runner.records_in(), 10u);
   EXPECT_GE(runner.batches(), 3u);  // batch size 4 => at least 3 batches
@@ -56,7 +56,7 @@ TEST(JobRunner, BackgroundLoopProcessesStream) {
   broker.create_topic("in", 1);
   broker.create_topic("out", 1);
   StreamEngine engine = make_engine();
-  JobRunner runner(broker, engine, {"in", "out", 16, 10});
+  JobRunner runner(broker, engine, {"in", "out", 16});
   runner.start();
   for (int i = 0; i < 25; ++i) {
     broker.produce("in", msg("k" + std::to_string(i), "x"));
@@ -77,7 +77,7 @@ TEST(JobRunner, StopDrainsBufferedInput) {
   broker.create_topic("in", 1);
   broker.create_topic("out", 1);
   StreamEngine engine = make_engine();
-  JobRunner runner(broker, engine, {"in", "out", 8, 10});
+  JobRunner runner(broker, engine, {"in", "out", 8});
   runner.start();
   for (int i = 0; i < 40; ++i) broker.produce("in", msg("k", "y"));
   runner.stop();  // must not strand anything
@@ -89,7 +89,7 @@ TEST(JobRunner, EmptyOutputTopicDropsOutputs) {
   broker.create_topic("in", 1);
   broker.produce("in", msg("k", "v"));
   StreamEngine engine = make_engine();
-  JobRunner runner(broker, engine, {"in", "", 8, 10});
+  JobRunner runner(broker, engine, {"in", "", 8});
   runner.drain();
   EXPECT_EQ(runner.records_in(), 1u);
   EXPECT_TRUE(broker.topics().size() == 1u);  // no out topic created
@@ -100,7 +100,7 @@ TEST(JobRunner, StartIsIdempotentAndRestartable) {
   broker.create_topic("in", 1);
   broker.create_topic("out", 1);
   StreamEngine engine = make_engine();
-  JobRunner runner(broker, engine, {"in", "out", 8, 10});
+  JobRunner runner(broker, engine, {"in", "out", 8});
   runner.start();
   runner.start();  // no-op
   broker.produce("in", msg("k", "a"));

@@ -48,6 +48,33 @@ TEST_F(ParserProperty, IndexNeverLosesMatches) {
   EXPECT_GT(checked, 300u);
 }
 
+// Walk selection on a real model: D4's candidate groups (tens of patterns)
+// sit far below the token-walk floor, so the default parser scans them
+// linearly — the walk loses ~3x there — and stays byte-identical to the
+// set-matcher-free parser.
+TEST_F(ParserProperty, D4GroupsScanLinearlyWithIdenticalOutcomes) {
+  Dataset d4 = make_d4(/*scale=*/0.01);
+  auto patterns = discover(d4.training, recommended_discovery("D4"));
+  ASSERT_GT(patterns.size(), 1000u);
+
+  LogParser parser(patterns, pre_.classifier());
+  LogParser linear(patterns, pre_.classifier(), IndexMode::kEnabled,
+                   LogParser::kDefaultIndexCapacity, SetMatchMode::kDisabled);
+  for (const auto& line : d4.testing) {
+    TokenizedLog log = pre_.process(line);
+    auto a = parser.parse(log);
+    auto b = linear.parse(log);
+    ASSERT_EQ(a.log.has_value(), b.log.has_value()) << line;
+    if (a.log.has_value()) {
+      ASSERT_EQ(a.log->to_json().dump(), b.log->to_json().dump()) << line;
+    }
+  }
+  EXPECT_EQ(parser.stats().logs, d4.testing.size());
+  EXPECT_EQ(parser.stats().set_walks, 0u);
+  EXPECT_EQ(parser.stats().unparsed, linear.stats().unparsed);
+  EXPECT_EQ(parser.stats().match_attempts, linear.stats().match_attempts);
+}
+
 TEST_F(ParserProperty, TrainEqualsTestSanityZeroAnomalies) {
   // The Table IV setup: training and testing share templates, so a correct
   // parser yields zero unparsed logs.

@@ -381,7 +381,6 @@ class RecoverScenario {
     opts.parser_partitions = 1;
     opts.detector_partitions = 1;
     opts.workers = 1;
-    opts.metrics_report_every = 0;
     opts.checkpoint_path = checkpoint_path;
     return opts;
   }
@@ -544,7 +543,6 @@ class ArchiveOverlapScenario {
     opts.parser_partitions = 1;
     opts.detector_partitions = 1;
     opts.workers = 1;
-    opts.metrics_report_every = 0;
     opts.metrics = metrics;
     opts.faults = faults;
     return opts;

@@ -187,6 +187,30 @@ TEST(ServiceE2E, StartModeParsesIngestWithoutPumping) {
   EXPECT_EQ(service.log_store().size(), d1.testing.size());
 }
 
+TEST(ServiceE2E, ParserTokenizesWithTheTrainingSplitRules) {
+  // The parser stage and replay_archive() tokenize with the split rules the
+  // model was trained with, so a service parses its own training lines.
+  ServiceOptions opts;
+  opts.build.preprocessor.split_rules = {{"([0-9]+)(KB)", "$1 $2"}};
+  std::vector<std::string> lines;
+  for (int i = 0; i < 50; ++i) {
+    lines.push_back("2016/02/23 09:00:" + std::to_string(10 + i) +
+                    " cache evicted " + std::to_string(64 * (i + 1)) +
+                    "KB from node" + std::to_string(i % 7));
+  }
+  LogLensService service(opts);
+  BuildResult build = service.train(lines);
+  ASSERT_EQ(build.unparsed_training_logs, 0u);
+  Agent agent = service.make_agent("cache");
+  agent.replay(lines);
+  service.drain();
+  EXPECT_EQ(service.anomalies().count_by_type(AnomalyType::kUnparsedLog), 0u);
+  auto replay = service.replay_archive("cache");
+  ASSERT_TRUE(replay.ok());
+  EXPECT_EQ(replay->logs, lines.size());
+  EXPECT_EQ(replay->unparsed, 0u);
+}
+
 TEST(ServiceE2E, Fig4AccuracyOnD2) {
   Dataset d2 = make_d2(0.05);
   ServiceOptions opts;

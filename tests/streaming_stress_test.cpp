@@ -7,6 +7,7 @@
 #include <map>
 #include <thread>
 
+#include "streaming/broadcast.h"
 #include "streaming/engine.h"
 #include "streaming/job.h"
 
@@ -146,7 +147,7 @@ TEST(StreamingStress, ProducersRaceJobRunner) {
   StreamEngine engine(opts, [](size_t) -> std::unique_ptr<PartitionTask> {
     return std::make_unique<Echo>();
   });
-  JobRunner runner(broker, engine, {"in", "out", 64, 5});
+  JobRunner runner(broker, engine, {"in", "out", 64});
   runner.start();
   constexpr int kThreads = 3;
   constexpr int kEach = 400;

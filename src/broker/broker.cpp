@@ -370,21 +370,17 @@ std::vector<Message> Consumer::poll(size_t max) {
   return out;
 }
 
-std::vector<Message> Consumer::poll_blocking(size_t max, int64_t timeout_ms,
-                                             size_t min_messages) {
+std::vector<Message> Consumer::poll_blocking(size_t max, int64_t timeout_ms) {
   if (max == 0) return {};
-  if (min_messages == 0) min_messages = 1;
-  if (min_messages > max) min_messages = max;
   const uint64_t deadline_us =
       trace_clock::now_us() +
       (timeout_ms > 0 ? static_cast<uint64_t>(timeout_ms) * 1000 : 0);
   std::vector<Message> out = poll(max);
-  // Accumulate toward the low watermark: park on the broker's waiter CV
-  // (woken by a produce to any partition, not a timeout sweep) and drain
-  // again, until either min_messages are in hand or the deadline passes.
-  // The wait runs unlocked, so lag()/offsets() monitoring never stalls
-  // behind it.
-  while (out.size() < min_messages) {
+  // Park on the broker's waiter CV (woken by a produce to any partition,
+  // not a timeout sweep) and poll again, until at least one message is in
+  // hand or the deadline passes. The wait runs unlocked, so lag()/offsets()
+  // monitoring never stalls behind it.
+  while (out.empty()) {
     LOGLENS_SCHED_POINT("consumer.poll_park");
     const uint64_t now_us = trace_clock::now_us();
     if (now_us >= deadline_us) break;
@@ -396,12 +392,7 @@ std::vector<Message> Consumer::poll_blocking(size_t max, int64_t timeout_ms,
     (void)broker_.wait_for_data(
         topic_, offsets,
         static_cast<int64_t>((deadline_us - now_us + 999) / 1000));
-    auto more = poll(max - out.size());
-    if (out.empty()) {
-      out = std::move(more);
-    } else {
-      for (auto& m : more) out.push_back(std::move(m));
-    }
+    out = poll(max);
   }
   return out;
 }

@@ -193,11 +193,11 @@ class Broker {
 //
 // poll_blocking is the backpressure-aware prefetch path: it parks on the
 // broker's waiter condition variable (woken by a produce to *any*
-// partition, not a timeout sweep) and keeps accumulating until the low
-// watermark `min_messages` is reached or the deadline passes — batch
-// formation under load, low latency when traffic is thin. The consumer
-// never buffers internally, so `max` is the high watermark on memory it
-// holds per poll. When constructed with a registry it exports
+// partition, not a timeout sweep) until at least one message is available
+// or the deadline passes, then returns whatever is there (up to `max`) —
+// batches form under load, latency stays low when traffic is thin. The
+// consumer never buffers internally, so `max` is the high watermark on
+// memory it holds per poll. When constructed with a registry it exports
 // `loglens_consumer_queue_depth{topic=...}` (lag after each poll) and
 // offset-commit counters (one commit per non-empty poll — batched, not
 // per-message).
@@ -210,8 +210,7 @@ class Consumer {
   // messages (empty when caught up). Offsets advance once per poll under a
   // single critical section — the batched offset commit.
   std::vector<Message> poll(size_t max) LOGLENS_EXCLUDES(mu_);
-  std::vector<Message> poll_blocking(size_t max, int64_t timeout_ms,
-                                     size_t min_messages = 1)
+  std::vector<Message> poll_blocking(size_t max, int64_t timeout_ms)
       LOGLENS_EXCLUDES(mu_);
 
   // Total messages consumed so far.

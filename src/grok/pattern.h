@@ -61,10 +61,8 @@ struct GrokToken {
 
 // Single-token predicate for literals and non-ANYDATA fields: does pattern
 // token `pt` match log token `tok`? Depends only on the log token, never on
-// its position — the property that makes both the per-pattern wildcard scan
-// and the set-level trie walk (grok/set_matcher.h) complete. The set matcher
-// must agree with the per-pattern matcher token-for-token, so both call this
-// one definition.
+// its position — the property that makes the per-pattern wildcard scan
+// complete.
 bool grok_token_matches(const GrokToken& pt, const Token& tok,
                         const DatatypeClassifier& classifier);
 

@@ -7,10 +7,6 @@ namespace loglens {
 
 namespace {
 
-constexpr uint8_t bit_of(Datatype t) {
-  return static_cast<uint8_t>(1u << static_cast<int>(t));
-}
-
 // cover_mask[d] = the set of non-wildcard pattern elements p that accept a
 // log element d under Algorithm 1: d == p || is_covered(d, p). Precomputed
 // once from the same is_covered the linear signature_match loop uses.
@@ -33,26 +29,7 @@ const std::array<uint8_t, kDatatypeCount>& cover_masks() {
   return masks;
 }
 
-struct LitEdgeLess {
-  bool operator()(const std::pair<uint32_t, int32_t>& e, uint32_t v) const {
-    return e.first < v;
-  }
-};
-
 }  // namespace
-
-uint32_t GrokSetMatcher::intern_literal(std::string_view text) {
-  auto it = lit_ids_.find(text);
-  if (it != lit_ids_.end()) return it->second;
-  const uint32_t id = static_cast<uint32_t>(lit_ids_.size());
-  lit_ids_.emplace(std::string(text), id);
-  return id;
-}
-
-uint32_t GrokSetMatcher::find_literal(std::string_view text) const {
-  auto it = lit_ids_.find(text);
-  return it == lit_ids_.end() ? kNoLiteral : it->second;
-}
 
 int32_t GrokSetMatcher::child_class(uint32_t node, Datatype type) {
   const int idx = static_cast<int>(type);
@@ -62,20 +39,6 @@ int32_t GrokSetMatcher::child_class(uint32_t node, Datatype type) {
     nodes_.emplace_back();
     nodes_[node].class_next[idx] = next;
   }
-  return next;
-}
-
-int32_t GrokSetMatcher::child_literal(uint32_t node, uint32_t lit) {
-  {
-    const auto& edges = nodes_[node].lit_edges;
-    auto it = std::lower_bound(edges.begin(), edges.end(), lit, LitEdgeLess{});
-    if (it != edges.end() && it->first == lit) return it->second;
-  }
-  const int32_t next = static_cast<int32_t>(nodes_.size());
-  nodes_.emplace_back();  // may reallocate: re-resolve the edge list
-  auto& edges = nodes_[node].lit_edges;
-  edges.insert(std::lower_bound(edges.begin(), edges.end(), lit, LitEdgeLess{}),
-               {lit, next});
   return next;
 }
 
@@ -90,33 +53,9 @@ int32_t GrokSetMatcher::child_wild(uint32_t node) {
   return next;
 }
 
-GrokSetMatcher GrokSetMatcher::compile_tokens(
-    const std::vector<GrokPattern>& patterns, Options options) {
-  GrokSetMatcher m;
-  m.options_ = options;
-  m.pattern_count_ = patterns.size();
-  m.nodes_.emplace_back();  // root
-  for (size_t i = 0; i < patterns.size(); ++i) {
-    uint32_t cur = 0;
-    for (const GrokToken& t : patterns[i].tokens()) {
-      if (!t.is_field) {
-        cur = static_cast<uint32_t>(
-            m.child_literal(cur, m.intern_literal(t.literal)));
-      } else if (t.field.type == Datatype::kAnyData) {
-        cur = static_cast<uint32_t>(m.child_wild(cur));
-      } else {
-        cur = static_cast<uint32_t>(m.child_class(cur, t.field.type));
-      }
-    }
-    m.nodes_[cur].terminal.push_back(static_cast<uint32_t>(i));
-  }
-  return m;
-}
-
 GrokSetMatcher GrokSetMatcher::compile_signatures(
-    const std::vector<std::vector<Datatype>>& signatures, Options options) {
+    const std::vector<std::vector<Datatype>>& signatures) {
   GrokSetMatcher m;
-  m.options_ = options;
   m.pattern_count_ = signatures.size();
   m.nodes_.emplace_back();  // root
   for (size_t i = 0; i < signatures.size(); ++i) {
@@ -133,11 +72,9 @@ GrokSetMatcher GrokSetMatcher::compile_signatures(
   return m;
 }
 
-// The shared executor. scratch.sym_lit / scratch.sym_mask hold one IR symbol
-// per consumed position; the walk advances the active-node set over them.
-bool GrokSetMatcher::walk(size_t positions, GrokSetScratch& scratch) const {
+bool GrokSetMatcher::match_signature(std::span<const Datatype> sig,
+                                     GrokSetScratch& scratch) const {
   scratch.result.clear();
-  scratch.steps = 0;
   scratch.overflow = false;
   if (nodes_.empty() || pattern_count_ == 0) return true;
   if (scratch.seen.size() != nodes_.size()) {
@@ -158,40 +95,30 @@ bool GrokSetMatcher::walk(size_t positions, GrokSetScratch& scratch) const {
     while (scratch.seen[node] != scratch.epoch) {
       scratch.seen[node] = scratch.epoch;
       set.push_back(node);
-      ++scratch.steps;
       const int32_t w = nodes_[node].wild_next;
       if (w < 0) break;
       node = static_cast<uint32_t>(w);
     }
   };
 
+  const auto& masks = cover_masks();
   next_epoch();
   scratch.active.clear();
   add(scratch.active, 0);
-  for (size_t i = 0; i < positions; ++i) {
+  for (const Datatype d : sig) {
     if (scratch.active.empty()) break;  // no pattern can match
-    const uint32_t lit = scratch.sym_lit[i];
-    const uint8_t mask = scratch.sym_mask[i];
+    const uint8_t mask = masks[static_cast<int>(d)];
     next_epoch();
     scratch.next_active.clear();
     for (const uint32_t id : scratch.active) {
       const Node& nd = nodes_[id];
       if (nd.self_loop) add(scratch.next_active, id);
-      if (lit != kNoLiteral && !nd.lit_edges.empty()) {
-        auto it = std::lower_bound(nd.lit_edges.begin(), nd.lit_edges.end(),
-                                   lit, LitEdgeLess{});
-        if (it != nd.lit_edges.end() && it->first == lit) {
-          add(scratch.next_active, static_cast<uint32_t>(it->second));
+      for (int p = 0; p < kDatatypeCount; ++p) {
+        if (((mask >> p) & 1) != 0 && nd.class_next[p] >= 0) {
+          add(scratch.next_active, static_cast<uint32_t>(nd.class_next[p]));
         }
       }
-      if (mask != 0) {
-        for (int p = 0; p < kDatatypeCount; ++p) {
-          if (((mask >> p) & 1) != 0 && nd.class_next[p] >= 0) {
-            add(scratch.next_active, static_cast<uint32_t>(nd.class_next[p]));
-          }
-        }
-      }
-      if (scratch.next_active.size() > options_.max_active) {
+      if (scratch.next_active.size() > kMaxActive) {
         scratch.overflow = true;
         return false;
       }
@@ -210,57 +137,10 @@ bool GrokSetMatcher::walk(size_t positions, GrokSetScratch& scratch) const {
   return true;
 }
 
-bool GrokSetMatcher::match_tokens(const std::vector<Token>& tokens,
-                                  const DatatypeClassifier& classifier,
-                                  GrokSetScratch& scratch) const {
-  const size_t n = tokens.size();
-  scratch.sym_lit.resize(n);
-  scratch.sym_mask.resize(n);
-  scratch.prefilter_hit = false;
-  static constexpr Datatype kClassable[] = {Datatype::kWord, Datatype::kNumber,
-                                            Datatype::kIp, Datatype::kNotSpace};
-  for (size_t i = 0; i < n; ++i) {
-    const Token& tok = tokens[i];
-    const uint32_t lit = find_literal(tok.text);
-    if (lit != kNoLiteral) scratch.prefilter_hit = true;
-    // The acceptance mask must agree with grok_token_matches bit for bit:
-    // a DATETIME token matches only %{DATETIME} fields; any other token
-    // matches exactly the Table I classes whose regex accepts its text.
-    uint8_t mask = 0;
-    if (tok.type == Datatype::kDateTime) {
-      mask = bit_of(Datatype::kDateTime);
-    } else {
-      for (Datatype t : kClassable) {
-        if (classifier.matches(tok.text, t)) mask |= bit_of(t);
-      }
-    }
-    scratch.sym_lit[i] = lit;
-    scratch.sym_mask[i] = mask;
-  }
-  return walk(n, scratch);
-}
-
-bool GrokSetMatcher::match_signature(std::span<const Datatype> sig,
-                                     GrokSetScratch& scratch) const {
-  const size_t n = sig.size();
-  scratch.sym_lit.assign(n, kNoLiteral);
-  scratch.sym_mask.resize(n);
-  scratch.prefilter_hit = false;
-  const auto& masks = cover_masks();
-  for (size_t i = 0; i < n; ++i) {
-    scratch.sym_mask[i] = masks[static_cast<int>(sig[i])];
-  }
-  return walk(n, scratch);
-}
-
 size_t GrokSetMatcher::resident_bytes() const {
   size_t bytes = nodes_.capacity() * sizeof(Node);
   for (const Node& n : nodes_) {
-    bytes += n.lit_edges.capacity() * sizeof(n.lit_edges[0]);
     bytes += n.terminal.capacity() * sizeof(uint32_t);
-  }
-  for (const auto& [text, id] : lit_ids_) {
-    bytes += text.capacity() + sizeof(id) + 4 * sizeof(void*);  // node approx
   }
   return bytes;
 }

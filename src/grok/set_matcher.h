@@ -1,158 +1,93 @@
-// Set-level GROK matcher (ROADMAP item 2): the whole pattern set compiled
-// into one shared-prefix trie executed as an NFA, so matchability of *every*
-// pattern against a log is decided in one pass over the log instead of one
-// match attempt per pattern — the O(patterns)-per-log collapse of paper
-// Table IV becomes ~O(log length) on the index-miss and discovery paths.
+// Set-level signature matcher (paper Algorithm 1 over the whole model): the
+// model's pattern signatures compiled into one shared-prefix trie executed
+// as an NFA, so on a signature-index miss the parser decides Algorithm 1
+// membership for *every* pattern in one pass over the log signature instead
+// of one DP per pattern — the index-miss cost drops from O(patterns) to
+// ~O(signature length).
 //
-// Compile-then-execute IR. Each pattern token lowers to one symbol:
+// Compile-then-execute IR. Each signature element lowers to one symbol:
 //
-//   literal      -> an interned literal id (exact token text),
-//   field T      -> a datatype class edge (T != ANYDATA),
-//   %{ANYDATA}   -> a wildcard node: self-loop plus an epsilon edge to the
-//                   continuation (spans zero or more log tokens).
+//   datatype T   -> a datatype class edge (T != ANYDATA),
+//   ANYDATA      -> a wildcard node: self-loop plus an epsilon edge to the
+//                   continuation (spans zero or more log elements).
 //
-// Patterns sharing a symbol prefix share trie nodes; a node reached by a
-// whole pattern records that pattern's index in its terminal list.
+// Signatures sharing a prefix share trie nodes; a node reached by a whole
+// signature records that pattern's index in its terminal list.
 //
 // Execution is a Thompson-style NFA simulation over the trie. For each log
-// token the walk computes the token's IR symbol once — its interned literal
-// id (the Aho-Corasick-style literal prefilter: a token text outside the
-// pattern set's literal alphabet can never take a literal edge, so the
-// whole literal fan-out of a node is skipped with one hash probe) and its
-// datatype acceptance mask — then advances every active node with pure
-// integer edge checks. Cost per log is O(tokens x active nodes),
-// independent of the pattern count; shared prefixes and the prefilter keep
-// the active set small. A configurable active-set cap bounds pathological
-// models: on overflow the walk reports failure (GrokSetScratch::overflow)
-// and the caller falls back to the linear per-pattern scan.
-//
-// Two front-ends lower into the same IR and share the walk:
-//
-//   compile_tokens      exact token-level matchability: for every pattern i,
-//                       the result contains i iff patterns[i].match(tokens)
-//                       — bit-identical to the per-pattern matcher because
-//                       edge predicates are grok_token_matches itself.
-//                       Captures are recovered by a targeted second pass:
-//                       run the per-pattern matcher on the one selected
-//                       candidate.
-//   compile_signatures  Algorithm 1 membership: i iff
-//                       signature_match(log_sig, sigs[i]) — used by the
-//                       parser to build a candidate group on an index miss
-//                       in one walk instead of one DP per pattern.
+// element the walk looks up the set of pattern elements that accept it
+// (d == p || is_covered(d, p), the same test the DP uses) and advances
+// every active node with pure integer edge checks. Cost per log is
+// O(elements x active nodes), independent of the pattern count. The active
+// set is capped at kMaxActive nodes: on overflow the walk reports failure
+// (GrokSetScratch::overflow) and the caller falls back to the per-pattern
+// DP loop.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <string>
-#include <string_view>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "common/hash.h"
 #include "grok/datatype.h"
-#include "grok/pattern.h"
-#include "grok/token.h"
 
 namespace loglens {
 
 // Reusable walk state: a warm scratch executes a walk with no heap
-// allocation. Outputs of the last walk are left in `result` / the flags.
+// allocation. Outputs of the last walk are left in `result` / `overflow`.
 struct GrokSetScratch {
   // Walk output: indices of every matching pattern, ascending. Meaningless
   // when the walk returned false (overflow).
   std::vector<uint32_t> result;
-  uint64_t steps = 0;          // node activations in the last walk
-  bool prefilter_hit = false;  // a log token was in the literal alphabet
-  bool overflow = false;       // active-set cap exceeded; fall back
+  bool overflow = false;  // active-set cap exceeded; fall back
 
   // Internals reused across walks.
   std::vector<uint32_t> active;
   std::vector<uint32_t> next_active;
   std::vector<uint32_t> seen;  // node id -> epoch of last activation
   uint32_t epoch = 0;
-  std::vector<uint32_t> sym_lit;   // per-position interned literal id
-  std::vector<uint8_t> sym_mask;   // per-position datatype acceptance bits
-};
-
-struct GrokSetOptions {
-  // Ceiling on simultaneously-active trie nodes. Shared prefixes keep real
-  // models far below this; a model that exceeds it (pathological wildcard
-  // nesting) falls back to the linear scan rather than paying unbounded
-  // walk cost.
-  size_t max_active = 256;
 };
 
 class GrokSetMatcher {
  public:
-  using Options = GrokSetOptions;
+  // Ceiling on simultaneously-active trie nodes. Shared prefixes keep real
+  // models far below this; a model that exceeds it (pathological wildcard
+  // nesting) falls back to the DP loop rather than paying unbounded walk
+  // cost.
+  static constexpr size_t kMaxActive = 256;
 
   GrokSetMatcher() = default;
 
-  // Token-level instance over whole patterns.
-  static GrokSetMatcher compile_tokens(const std::vector<GrokPattern>& patterns,
-                                       Options options = {});
-  // Signature-level instance over datatype sequences (pattern signatures).
   static GrokSetMatcher compile_signatures(
-      const std::vector<std::vector<Datatype>>& signatures,
-      Options options = {});
+      const std::vector<std::vector<Datatype>>& signatures);
 
-  // One pass over `tokens`: on success returns true with scratch.result
-  // holding the indices of every pattern the per-pattern matcher would
-  // accept. Returns false with scratch.overflow set when the active-set cap
-  // was exceeded (use the linear scan instead). Only valid on an instance
-  // built by compile_tokens.
-  bool match_tokens(const std::vector<Token>& tokens,
-                    const DatatypeClassifier& classifier,
-                    GrokSetScratch& scratch) const;
-
-  // Same, for an instance built by compile_signatures: scratch.result holds
-  // every i with signature_match(sig, signatures[i]).
+  // One pass over `sig`: on success returns true with scratch.result
+  // holding every i with signature_match(sig, signatures[i]), ascending.
+  // Returns false with scratch.overflow set when the active set exceeded
+  // kMaxActive (use the DP loop instead).
   bool match_signature(std::span<const Datatype> sig,
                        GrokSetScratch& scratch) const;
 
   size_t pattern_count() const { return pattern_count_; }
   size_t node_count() const { return nodes_.size(); }
-  size_t literal_count() const { return lit_ids_.size(); }
   size_t resident_bytes() const;
 
  private:
-  // No literal edge carries this id, so a log token outside the literal
-  // alphabet skips every literal fan-out (the prefilter).
-  static constexpr uint32_t kNoLiteral = static_cast<uint32_t>(-1);
-
   struct Node {
     // Edge per datatype class (indexed by the field's Datatype); -1 absent.
     int32_t class_next[kDatatypeCount];
     int32_t wild_next = -1;  // epsilon edge into a wildcard child
-    bool self_loop = false;  // node entered via %{ANYDATA}: consumes freely
-    // Literal edges sorted by interned id for binary search.
-    std::vector<std::pair<uint32_t, int32_t>> lit_edges;
+    bool self_loop = false;  // node entered via ANYDATA: consumes freely
     std::vector<uint32_t> terminal;  // pattern indices ending here
     Node() {
       for (auto& e : class_next) e = -1;
     }
   };
 
-  struct TransparentHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const {
-      return static_cast<size_t>(fnv1a(s));
-    }
-  };
-
-  uint32_t intern_literal(std::string_view text);
-  uint32_t find_literal(std::string_view text) const;
   int32_t child_class(uint32_t node, Datatype type);
-  int32_t child_literal(uint32_t node, uint32_t lit);
   int32_t child_wild(uint32_t node);
-  bool walk(size_t positions, GrokSetScratch& scratch) const;
 
   std::vector<Node> nodes_;
-  std::unordered_map<std::string, uint32_t, TransparentHash, std::equal_to<>>
-      lit_ids_;
   size_t pattern_count_ = 0;
-  Options options_;
 };
 
 }  // namespace loglens

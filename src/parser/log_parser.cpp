@@ -33,15 +33,9 @@ LogParser::LogParser(std::vector<GrokPattern> model,
     patterns_.push_back(std::move(ip));
   }
   if (set_match_mode_ == SetMatchMode::kAuto) {
-    std::vector<GrokPattern> pats;
     std::vector<std::vector<Datatype>> sigs;
-    pats.reserve(patterns_.size());
     sigs.reserve(patterns_.size());
-    for (const auto& ip : patterns_) {
-      pats.push_back(ip.pattern);
-      sigs.push_back(ip.signature);
-    }
-    token_matcher_ = GrokSetMatcher::compile_tokens(pats);
+    for (const auto& ip : patterns_) sigs.push_back(ip.signature);
     sig_matcher_ = GrokSetMatcher::compile_signatures(sigs);
   }
 }
@@ -107,49 +101,12 @@ bool LogParser::match_core(const TokenizedLog& log, ParsedLog& out) {
 
   const GrokPattern* matched = nullptr;
   if (index_mode_ == IndexMode::kEnabled) {
-    const std::vector<uint32_t>& group = candidate_group(sig_scratch_);
-    bool scanned = false;
-    if (set_match_mode_ == SetMatchMode::kAuto &&
-        group.size() >= kDefaultSetScanMinGroup) {
-      // One token-level walk decides which candidates actually match; the
-      // capture pass then runs on just the first group-ordered one of them
-      // — the same pattern the linear scan would have stopped at, because
-      // the walk is exact (grok_token_matches on both sides).
-      if (token_matcher_.match_tokens(log.tokens, classifier_, set_scratch_)) {
-        ++stats_.set_walks;
-        stats_.set_candidates += set_scratch_.result.size();
-        if (set_scratch_.prefilter_hit) ++stats_.set_prefilter_hits;
-        last_walk_candidates_ = set_scratch_.result.size();
-        scanned = true;
-        for (uint32_t pi : group) {
-          if (!std::binary_search(set_scratch_.result.begin(),
-                                  set_scratch_.result.end(), pi)) {
-            continue;
-          }
-          ++stats_.match_attempts;
-          if (patterns_[pi].pattern.match_into(log.tokens, classifier_,
-                                               &out.fields, match_scratch_)) {
-            matched = &patterns_[pi].pattern;
-          } else {
-            // Should be unreachable (the walk said this pattern matches).
-            // Stay safe: fall through to the full linear scan.
-            scanned = false;
-            ++stats_.set_fallbacks;
-          }
-          break;
-        }
-      } else {
-        ++stats_.set_fallbacks;
-      }
-    }
-    if (!scanned && matched == nullptr) {
-      for (uint32_t pi : group) {
-        ++stats_.match_attempts;
-        if (patterns_[pi].pattern.match_into(log.tokens, classifier_,
-                                             &out.fields, match_scratch_)) {
-          matched = &patterns_[pi].pattern;
-          break;
-        }
+    for (uint32_t pi : candidate_group(sig_scratch_)) {
+      ++stats_.match_attempts;
+      if (patterns_[pi].pattern.match_into(log.tokens, classifier_,
+                                           &out.fields, match_scratch_)) {
+        matched = &patterns_[pi].pattern;
+        break;
       }
     }
   } else {
@@ -197,7 +154,7 @@ ParseOutcome LogParser::parse(const TokenizedLog& log) {
 
 size_t LogParser::resident_bytes() const {
   size_t total = sizeof(*this);
-  total += sig_matcher_.resident_bytes() + token_matcher_.resident_bytes();
+  total += sig_matcher_.resident_bytes();
   for (const auto& ip : patterns_) {
     total += sizeof(ip) + ip.signature.capacity() * sizeof(Datatype);
     for (const auto& t : ip.pattern.tokens()) {

@@ -71,42 +71,22 @@ struct ParserStats {
   // O(mn) -> O(n) claim is about.
   uint64_t signature_comparisons = 0;
   uint64_t match_attempts = 0;
-  // Set-level matcher (grok/set_matcher.h) activity. A walk decides the
-  // matchability of every candidate in one pass; `set_candidates` counts the
-  // patterns those walks reported matching (the capture pass then runs on
-  // exactly one of them), `set_prefilter_hits` the walks where some log
-  // token hit the pattern literal alphabet, and `set_fallbacks` the times a
-  // walk overflowed its active-set cap (or a defensive mismatch occurred)
-  // and the linear per-pattern scan ran instead.
-  uint64_t set_walks = 0;
-  uint64_t set_candidates = 0;
-  uint64_t set_prefilter_hits = 0;
+  // Group builds whose set-matcher walk (grok/set_matcher.h) overflowed its
+  // active-set cap, so the per-pattern DP loop built the group instead.
   uint64_t set_fallbacks = 0;
 };
 
 enum class IndexMode { kEnabled, kDisabled };
 
-// kAuto: build the set-level matchers and use them on the index-miss path
-// (signature walk builds the candidate group) and, for groups of at least
-// LogParser::kDefaultSetScanMinGroup patterns, on the match scan (token walk
-// picks the one candidate the capture pass runs on). kDisabled: always scan
-// linearly — the ablation baseline the differential tests compare against
-// byte-for-byte.
+// kAuto: compile the signature-level set matcher and build candidate groups
+// on index misses with one walk. kDisabled: build every group with the
+// per-pattern DP loop — the ablation baseline the differential tests compare
+// against byte-for-byte. Either way the group is then scanned linearly.
 enum class SetMatchMode { kAuto, kDisabled };
 
 class LogParser {
  public:
   static constexpr size_t kDefaultIndexCapacity = 1u << 16;
-
-  // Candidate groups smaller than this are scanned linearly; only groups far
-  // larger than real models produce take the token walk. On D4 (3234
-  // patterns, groups of 10-56 candidates, index hit ratio 0.999) an
-  // isolated 100k-line parse costs 9.5 us/line with the walk and 3.1 us/line
-  // with the linear scan: the walk takes only ~24 trie steps per line, but
-  // its time goes on cache misses in a trie of 68.8k nodes and 30.4k
-  // literals. The walk pays off on groups like bench_grok_set's adversarial
-  // model (one group of 2000 patterns, ~1000x fewer match attempts).
-  static constexpr size_t kDefaultSetScanMinGroup = 128;
 
   LogParser(std::vector<GrokPattern> model, const DatatypeClassifier& classifier,
             IndexMode index_mode = IndexMode::kEnabled,
@@ -134,11 +114,6 @@ class LogParser {
 
   size_t index_size() const { return index_map_.size(); }
   size_t index_capacity() const { return index_capacity_; }
-
-  // Candidate count reported by the most recent token walk; meaningful only
-  // when stats().set_walks moved during the last parse (the metrics layer
-  // observes it into the loglens_grok_set_candidates histogram).
-  size_t last_walk_candidates() const { return last_walk_candidates_; }
 
   // Approximate resident bytes of the model + index (memory experiment),
   // including the index's hash-bucket array and per-entry node overhead.
@@ -191,13 +166,10 @@ class LogParser {
                      SigEq>
       index_map_;
   ParserStats stats_;
-  // Set-level matchers compiled once from the model (empty in
-  // SetMatchMode::kDisabled): signature-level for group building on index
-  // misses, token-level for the match scan over large groups.
+  // Signature-level set matcher compiled once from the model for group
+  // building on index misses (empty in SetMatchMode::kDisabled).
   SetMatchMode set_match_mode_;
-  size_t last_walk_candidates_ = 0;
   GrokSetMatcher sig_matcher_;
-  GrokSetMatcher token_matcher_;
   // Per-instance scratch reused across parse calls (hot-path contract).
   std::vector<Datatype> sig_scratch_;
   GrokMatchScratch match_scratch_;

@@ -56,15 +56,9 @@ ParserTask::ParserTask(std::shared_ptr<ModelBroadcast> model, size_t partition,
   regex_budget_exhausted_total_ = &registry.counter(
       "loglens_regex_budget_exhausted_total", labels,
       "Regex match attempts abandoned on VM step-budget exhaustion");
-  grok_set_prefilter_hits_total_ = &registry.counter(
-      "loglens_grok_set_prefilter_hits_total", labels,
-      "Set-matcher walks where a log token hit the pattern literal alphabet");
   grok_set_fallbacks_total_ = &registry.counter(
       "loglens_grok_set_fallbacks_total", labels,
-      "Set-matcher walks abandoned to the linear per-pattern scan");
-  grok_set_candidates_ =
-      &registry.histogram("loglens_grok_set_candidates", labels,
-                          "Matching candidates reported per set-matcher walk");
+      "Set-matcher walks abandoned to the per-pattern DP loop");
   parse_latency_us_ =
       &registry.histogram("loglens_parser_parse_latency_us", labels,
                           "Per-log parse latency (index lookup + matching)");
@@ -103,8 +97,6 @@ void ParserTask::sync_stats() {
       stat_delta(stats.index_evictions, synced_.index_evictions));
   match_attempts_total_->inc(
       stat_delta(stats.match_attempts, synced_.match_attempts));
-  grok_set_prefilter_hits_total_->inc(
-      stat_delta(stats.set_prefilter_hits, synced_.set_prefilter_hits));
   grok_set_fallbacks_total_->inc(
       stat_delta(stats.set_fallbacks, synced_.set_fallbacks));
   synced_ = stats;
@@ -154,14 +146,10 @@ void ParserTask::process(const Message& message, TaskContext& ctx) {
     }
   }
 
-  const uint64_t walks_before = parser_->stats().set_walks;
   const bool parsed_ok = [&] {
     ScopedTimer timer(parse_latency_us_);
     return parser_->parse_into(std::move(tokenized_), parsed_);
   }();
-  if (parser_->stats().set_walks != walks_before) {
-    grok_set_candidates_->record(parser_->last_walk_candidates());
-  }
   if (!parsed_ok) {
     Anomaly a;
     a.type = AnomalyType::kUnparsedLog;

@@ -1,4 +1,4 @@
-// The batch-handoff consumer semantics: blocking watermark polls,
+// The batch-handoff consumer semantics: blocking polls,
 // backpressure observability, batched produce, long-retention partition
 // logs read back at random offsets — and sharded-partition
 // interleaving stress meant for the TSan leg (concurrent produce /
@@ -78,39 +78,6 @@ TEST(PollBlocking, ProducerWakesParkedConsumer) {
   // Condition-variable wakeup, not deadline expiry: well under the 10s
   // timeout. Generous bound for loaded CI machines.
   EXPECT_LT(ms_since(t0), 5000);
-}
-
-TEST(PollBlocking, LowWatermarkKeepsAccumulating) {
-  Broker broker;
-  broker.create_topic("t", 1);
-  broker.produce("t", msg("k", "first"));
-  std::thread producer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    std::vector<Message> rest;
-    for (int i = 0; i < 3; ++i) rest.push_back(msg("k", "rest"));
-    broker.produce_batch("t", std::move(rest));
-  });
-  // min_messages=4: the one message already present must not satisfy the
-  // poll on its own; the batch landing later completes the low watermark.
-  Consumer consumer(broker, "t");
-  auto out = consumer.poll_blocking(/*max=*/16, /*timeout_ms=*/10000,
-                                    /*min_messages=*/4);
-  producer.join();
-  EXPECT_GE(out.size(), 4u);
-}
-
-TEST(PollBlocking, TimeoutDeliversPartialBatchBelowWatermark) {
-  Broker broker;
-  broker.create_topic("t", 1);
-  broker.produce("t", msg("k", "only"));
-  Consumer consumer(broker, "t");
-  const auto t0 = Clock::now();
-  // A low watermark of 8 can never be met; the deadline flushes what is
-  // there instead of returning empty-handed.
-  auto out = consumer.poll_blocking(/*max=*/16, /*timeout_ms=*/80,
-                                    /*min_messages=*/8);
-  EXPECT_EQ(out.size(), 1u);
-  EXPECT_GE(ms_since(t0), 70);
 }
 
 TEST(Consumer, QueueDepthGaugeTracksSlowSinkBackpressure) {
@@ -421,8 +388,7 @@ TEST(BrokerShardStress, PollBlockingDrainsConcurrentBatchProducer) {
   size_t got = 0;
   const size_t total = static_cast<size_t>(kBatches) * kBatchSize;
   while (got < total) {
-    auto out = consumer.poll_blocking(/*max=*/64, /*timeout_ms=*/5000,
-                                      /*min_messages=*/8);
+    auto out = consumer.poll_blocking(/*max=*/64, /*timeout_ms=*/5000);
     ASSERT_FALSE(out.empty()) << "timed out with " << got << "/" << total;
     got += out.size();
   }

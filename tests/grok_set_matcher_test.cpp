@@ -31,100 +31,67 @@ class GrokSetMatcherTest : public ::testing::Test {
     return out;
   }
 
-  // Matching pattern indices by the per-pattern linear scan — the oracle the
-  // walk must agree with exactly.
-  std::vector<uint32_t> linear_scan(const std::vector<GrokPattern>& patterns,
-                                    const std::vector<Token>& tokens) {
-    std::vector<uint32_t> out;
-    for (uint32_t i = 0; i < patterns.size(); ++i) {
-      if (patterns[i].match(tokens, pre_.classifier())) out.push_back(i);
-    }
-    return out;
-  }
-
   Preprocessor pre_;
 };
 
-TEST_F(GrokSetMatcherTest, TokenWalkFindsEveryMatchingPattern) {
-  auto patterns = model({
-      "login %{WORD:u}",
-      "login %{NOTSPACE:u}",
-      "%{ANYDATA:x} ok",
-      "login admin",
-  });
-  auto m = GrokSetMatcher::compile_tokens(patterns);
-  EXPECT_EQ(m.pattern_count(), 4u);
-  GrokSetScratch s;
+// The 2^9 signatures of length 9 over {NUMBER, NOTSPACE}. A log of nine
+// NUMBERs is covered by every element of every one of them, so the walk's
+// active set doubles per position: 256 nodes at depth 8, 512 at depth 9 —
+// past GrokSetMatcher::kMaxActive.
+constexpr size_t kWideDepth = 9;
+constexpr size_t kWideFamily = size_t{1} << kWideDepth;
+static_assert(kWideFamily > GrokSetMatcher::kMaxActive);
+static_assert(kWideFamily / 2 <= GrokSetMatcher::kMaxActive);
 
-  ASSERT_TRUE(m.match_tokens(pre_.process("login admin").tokens,
-                             pre_.classifier(), s));
-  EXPECT_EQ(s.result, (std::vector<uint32_t>{0, 1, 3}));
-  EXPECT_TRUE(s.prefilter_hit);  // "login" is in the literal alphabet
-
-  ASSERT_TRUE(m.match_tokens(pre_.process("login a_b").tokens,
-                             pre_.classifier(), s));
-  EXPECT_EQ(s.result, (std::vector<uint32_t>{1}));  // a_b is not a WORD
-
-  ASSERT_TRUE(
-      m.match_tokens(pre_.process("boot ok").tokens, pre_.classifier(), s));
-  EXPECT_EQ(s.result, (std::vector<uint32_t>{2}));
+bool wide_member_is_notspace(size_t member, size_t pos) {
+  return ((member >> pos) & 1) != 0;
 }
 
-TEST_F(GrokSetMatcherTest, PrefilterMissReportsNoLiteralHit) {
-  auto patterns = model({"login %{WORD:u}", "connect %{IP:a}"});
-  auto m = GrokSetMatcher::compile_tokens(patterns);
-  GrokSetScratch s;
-  ASSERT_TRUE(
-      m.match_tokens(pre_.process("zz qq").tokens, pre_.classifier(), s));
-  EXPECT_TRUE(s.result.empty());
-  EXPECT_FALSE(s.prefilter_hit);  // neither token is a pattern literal
-}
-
-TEST_F(GrokSetMatcherTest, WildcardSpansZeroOrManyTokens) {
-  auto patterns = model({"start %{ANYDATA:x} end"});
-  auto m = GrokSetMatcher::compile_tokens(patterns);
-  GrokSetScratch s;
-  const char* matching[] = {"start end", "start a end", "start a b c end"};
-  for (const char* line : matching) {
-    ASSERT_TRUE(
-        m.match_tokens(pre_.process(line).tokens, pre_.classifier(), s));
-    EXPECT_EQ(s.result, (std::vector<uint32_t>{0})) << line;
+std::vector<std::vector<Datatype>> wide_signatures() {
+  std::vector<std::vector<Datatype>> out;
+  for (size_t m = 0; m < kWideFamily; ++m) {
+    std::vector<Datatype> sig;
+    for (size_t pos = 0; pos < kWideDepth; ++pos) {
+      sig.push_back(wide_member_is_notspace(m, pos) ? Datatype::kNotSpace
+                                                    : Datatype::kNumber);
+    }
+    out.push_back(std::move(sig));
   }
-  const char* rejecting[] = {"start", "end", "start end extra", "x start end"};
-  for (const char* line : rejecting) {
-    ASSERT_TRUE(
-        m.match_tokens(pre_.process(line).tokens, pre_.classifier(), s));
-    EXPECT_TRUE(s.result.empty()) << line;
-  }
+  return out;
 }
 
 TEST_F(GrokSetMatcherTest, ActiveSetOverflowReportsFallback) {
-  // With a cap of 1, two patterns diverging at the first symbol exceed the
-  // active set immediately; the walk must refuse rather than drop patterns.
-  auto patterns = model({"%{WORD:a} x", "%{NUMBER:a} x", "%{ANYDATA:r} y"});
-  GrokSetOptions opts;
-  opts.max_active = 1;
-  auto m = GrokSetMatcher::compile_tokens(patterns, opts);
+  // Past the active-set cap the walk must refuse rather than drop patterns.
+  auto m = GrokSetMatcher::compile_signatures(wide_signatures());
   GrokSetScratch s;
-  EXPECT_FALSE(
-      m.match_tokens(pre_.process("hello x").tokens, pre_.classifier(), s));
+  const std::vector<Datatype> nine_numbers(kWideDepth, Datatype::kNumber);
+  EXPECT_FALSE(m.match_signature(nine_numbers, s));
   EXPECT_TRUE(s.overflow);
+
+  // Eight NUMBERs then a WORD stays at 256 active nodes: no overflow, and
+  // only the family members ending in NOTSPACE cover the WORD.
+  std::vector<Datatype> under_cap(kWideDepth - 1, Datatype::kNumber);
+  under_cap.push_back(Datatype::kWord);
+  ASSERT_TRUE(m.match_signature(under_cap, s));
+  EXPECT_FALSE(s.overflow);
+  EXPECT_EQ(s.result.size(), kWideFamily / 2);
 }
 
 TEST_F(GrokSetMatcherTest, ScratchIsReusableAcrossMatchersAndWalks) {
-  auto a = GrokSetMatcher::compile_tokens(model({"alpha %{NUMBER:n}"}));
-  auto b = GrokSetMatcher::compile_tokens(model({"beta %{WORD:w}"}));
+  const Datatype W = Datatype::kWord;
+  const Datatype N = Datatype::kNumber;
+  auto a = GrokSetMatcher::compile_signatures({{W, N}});
+  auto b = GrokSetMatcher::compile_signatures({{W, W}, {N}, {W, W, W}});
+  const std::vector<Datatype> word_number = {W, N};
+  const std::vector<Datatype> word_word = {W, W};
   GrokSetScratch s;
   for (int round = 0; round < 3; ++round) {
-    ASSERT_TRUE(
-        a.match_tokens(pre_.process("alpha 42").tokens, pre_.classifier(), s));
+    ASSERT_TRUE(a.match_signature(word_number, s));
     EXPECT_EQ(s.result.size(), 1u);
-    ASSERT_TRUE(
-        b.match_tokens(pre_.process("alpha 42").tokens, pre_.classifier(), s));
+    ASSERT_TRUE(b.match_signature(word_number, s));
     EXPECT_TRUE(s.result.empty());
-    ASSERT_TRUE(
-        b.match_tokens(pre_.process("beta ok").tokens, pre_.classifier(), s));
-    EXPECT_EQ(s.result.size(), 1u);
+    ASSERT_TRUE(b.match_signature(word_word, s));
+    EXPECT_EQ(s.result, (std::vector<uint32_t>{0}));
   }
 }
 
@@ -168,62 +135,16 @@ TEST_F(GrokSetMatcherTest, SignatureWalkAgreesWithAlgorithmOne) {
   }
 }
 
-TEST_F(GrokSetMatcherTest, TokenWalkAgreesWithLinearScan) {
-  // Seeded differential at the token level: random GROK patterns over a
-  // shared vocabulary vs random logs from the same vocabulary; the walk's
-  // match set must be identical to running every pattern individually.
-  Rng rng(4242);
-  const std::vector<std::string> vocab = {"alpha", "beta",     "gamma",
-                                          "login", "connect",  "42",
-                                          "3.5",   "10.0.0.9", "x_y"};
-  const std::vector<std::string> types = {"WORD", "NUMBER", "IP", "NOTSPACE",
-                                          "ANYDATA"};
-
-  std::vector<GrokPattern> patterns;
-  int id = 1;
-  while (patterns.size() < 40) {
-    std::string text;
-    const size_t len = 1 + rng.below(5);
-    int field = 0;
-    for (size_t j = 0; j < len; ++j) {
-      if (!text.empty()) text.push_back(' ');
-      if (rng.chance(0.5)) {
-        text += "%{" + rng.pick(types) + ":f" + std::to_string(field++) + "}";
-      } else {
-        text += rng.pick(vocab);
-      }
-    }
-    auto p = GrokPattern::parse(text);
-    ASSERT_TRUE(p.ok()) << text;
-    p->assign_field_ids(id++);
-    patterns.push_back(std::move(p.value()));
-  }
-  auto m = GrokSetMatcher::compile_tokens(patterns);
-  GrokSetScratch s;
-
-  for (int trial = 0; trial < 600; ++trial) {
-    std::string line;
-    const size_t len = 1 + rng.below(6);
-    for (size_t j = 0; j < len; ++j) {
-      if (!line.empty()) line.push_back(' ');
-      line += rng.pick(vocab);
-    }
-    TokenizedLog log = pre_.process(line);
-    ASSERT_TRUE(m.match_tokens(log.tokens, pre_.classifier(), s)) << line;
-    EXPECT_EQ(s.result, linear_scan(patterns, log.tokens)) << line;
-  }
-}
-
-// The end-to-end guarantee the refactor rests on: a parser with the set
-// matcher enabled produces byte-identical outcomes to the linear-scan
-// parser, on every path (index hit, index miss, eviction churn, unparsed,
-// token walk over a large candidate group).
+// The end-to-end guarantee the set matcher rests on: a parser with it
+// enabled produces byte-identical outcomes to the set-matcher-free parser,
+// on every path (index hit, index miss, eviction churn, unparsed, a large
+// shared-signature candidate group).
 TEST_F(GrokSetMatcherTest, ParserOutcomesAreByteIdenticalToLinearScan) {
   Rng rng(987);
-  // A shared-signature family big enough that its candidate group takes the
-  // token walk: "svc<abc> worker %{WORD:op} %{NUMBER:n} done" with a unique
-  // literal service name per pattern.
-  constexpr size_t kFamily = LogParser::kDefaultSetScanMinGroup + 32;
+  // A shared-signature family whose candidate group is large:
+  // "svc<xy> worker %{WORD:op} %{NUMBER:n} done" with a unique literal
+  // service name per pattern.
+  constexpr size_t kFamily = 160;
   auto svc = [](size_t i) {
     return "svc" + std::string(1, static_cast<char>('a' + i / 26 % 26)) +
            std::string(1, static_cast<char>('a' + i % 26));
@@ -288,26 +209,89 @@ TEST_F(GrokSetMatcherTest, ParserOutcomesAreByteIdenticalToLinearScan) {
     }
     EXPECT_EQ(with_set.stats().unparsed, without.stats().unparsed);
     EXPECT_EQ(with_set.stats().set_fallbacks, 0u);
-    if (cfg.index == IndexMode::kEnabled) {
-      EXPECT_GT(with_set.stats().set_walks, 0u);
-    }
+    EXPECT_EQ(with_set.stats().match_attempts,
+              without.stats().match_attempts);
   }
 }
 
+// A model whose group builds overflow the walk: the wide family as GROK
+// patterns ("%{NUMBER:f1} %{NOTSPACE:f2} ...") plus ordinary ones. Group
+// builds that overflow fall back to the DP loop, and outcomes stay
+// byte-identical to the set-matcher-free parser.
+TEST_F(GrokSetMatcherTest, OverflowingGroupBuildsFallBackToIdenticalGroups) {
+  std::vector<GrokPattern> patterns = model({
+      "login %{NOTSPACE:user}",
+      "disk %{NOTSPACE:dev} full",
+      "%{NUMBER:n} items in %{ANYDATA:rest}",
+  });
+  int next_id = static_cast<int>(patterns.size()) + 1;
+  int all_number_id = 0;
+  for (size_t m = 0; m < kWideFamily; ++m) {
+    std::string text;
+    for (size_t pos = 0; pos < kWideDepth; ++pos) {
+      if (pos > 0) text.push_back(' ');
+      text += wide_member_is_notspace(m, pos) ? "%{NOTSPACE:f" : "%{NUMBER:f";
+      text += std::to_string(pos + 1) + "}";
+    }
+    auto p = GrokPattern::parse(text);
+    ASSERT_TRUE(p.ok()) << text;
+    if (m == 0) all_number_id = next_id;
+    p->assign_field_ids(next_id++);
+    patterns.push_back(std::move(p.value()));
+  }
+
+  // Two log signatures overflow the walk, NUMBER x9 and NUMBER x10; with
+  // the default index capacity each is built exactly once.
+  std::vector<TokenizedLog> logs;
+  for (int i = 0; i < 40; ++i) {
+    const std::string n = std::to_string(i);
+    logs.push_back(pre_.process("1 2 3 4 5 6 7 8 " + n));
+    logs.push_back(pre_.process("1 2 3 4 5 6 7 8 9 " + n));
+    logs.push_back(pre_.process("1 2 3 4 5 6 7 8 w" + n));  // 256 active
+    logs.push_back(pre_.process("a b c d e f g h x_" + n));
+    logs.push_back(pre_.process("login user" + n));
+    logs.push_back(pre_.process("disk /dev/sd" + n + " full"));
+    logs.push_back(pre_.process(n + " items in the queue now"));
+    logs.push_back(pre_.process("kernel panic " + n));  // unparsed
+  }
+
+  LogParser with_set(patterns, pre_.classifier());
+  LogParser without(patterns, pre_.classifier(), IndexMode::kEnabled,
+                    LogParser::kDefaultIndexCapacity, SetMatchMode::kDisabled);
+  for (const auto& log : logs) {
+    auto a = with_set.parse(log);
+    auto b = without.parse(log);
+    ASSERT_EQ(a.log.has_value(), b.log.has_value()) << log.raw;
+    if (a.log.has_value()) {
+      EXPECT_EQ(a.log->to_json().dump(), b.log->to_json().dump()) << log.raw;
+    }
+  }
+  EXPECT_EQ(with_set.stats().set_fallbacks, 2u);
+  EXPECT_EQ(without.stats().set_fallbacks, 0u);
+  EXPECT_EQ(with_set.stats().groups_built, without.stats().groups_built);
+  EXPECT_EQ(with_set.stats().match_attempts, without.stats().match_attempts);
+  EXPECT_EQ(with_set.stats().unparsed, without.stats().unparsed);
+  EXPECT_EQ(with_set.stats().unparsed, 80u);  // NUMBER x10, "kernel panic"
+
+  // Generality order puts the all-NUMBER member first in the 512-candidate
+  // group, so it parses a log of nine NUMBERs.
+  auto nine = with_set.parse(pre_.process("10 20 30 40 50 60 70 80 90"));
+  ASSERT_TRUE(nine.log.has_value());
+  EXPECT_EQ(nine.log->pattern_id, all_number_id);
+}
+
 TEST_F(GrokSetMatcherTest, ResidentBytesAndNodeSharingReported) {
-  // Shared prefixes must share trie nodes: two patterns with a common
-  // 3-symbol prefix need fewer nodes than disjoint ones.
-  auto shared = GrokSetMatcher::compile_tokens(model({
-      "svc request %{NUMBER:a} done",
-      "svc request %{NUMBER:a} failed",
-  }));
-  auto disjoint = GrokSetMatcher::compile_tokens(model({
-      "svc request %{NUMBER:a} done",
-      "db shutdown %{WORD:b} now",
-  }));
+  // Shared prefixes must share trie nodes: two signatures with a common
+  // 3-element prefix need fewer nodes than disjoint ones.
+  const Datatype W = Datatype::kWord;
+  const Datatype N = Datatype::kNumber;
+  const Datatype I = Datatype::kIp;
+  auto shared =
+      GrokSetMatcher::compile_signatures({{W, W, N, W}, {W, W, N, N}});
+  auto disjoint =
+      GrokSetMatcher::compile_signatures({{W, W, N, W}, {I, N, I, N}});
   EXPECT_LT(shared.node_count(), disjoint.node_count());
   EXPECT_GT(shared.resident_bytes(), 0u);
-  EXPECT_EQ(shared.literal_count(), 4u);  // svc request done failed
 }
 
 }  // namespace

@@ -165,8 +165,7 @@ std::string produce_vs_slow_sink() {
   std::vector<Message> got;
   int empty_polls = 0;
   while (got.size() < kMessages && empty_polls < 400) {
-    auto batch = consumer.poll_blocking(/*max=*/4, /*timeout_ms=*/5,
-                                        /*min_messages=*/2);
+    auto batch = consumer.poll_blocking(/*max=*/4, /*timeout_ms=*/5);
     if (batch.empty()) ++empty_polls;
     for (auto& m : batch) got.push_back(std::move(m));
   }

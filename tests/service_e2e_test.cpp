@@ -211,6 +211,34 @@ TEST(ServiceE2E, ParserTokenizesWithTheTrainingSplitRules) {
   EXPECT_EQ(replay->unparsed, 0u);
 }
 
+// Heartbeats while the parser holds a backlog. Half the test split is
+// processed; the other half waits on `ingest` while the controller ticks.
+// The source is not quiet, only unparsed: a tick that extrapolated its
+// log-time clock would expire events whose lines are still in flight, and
+// the detector would report them as false positives.
+class HeartbeatBacklog : public ::testing::TestWithParam<int> {};
+
+TEST_P(HeartbeatBacklog, TicksDuringAParserBacklogAddNoFalsePositives) {
+  Dataset d1 = make_d1(1.0, 3);
+  LogLensService service(d1_options());
+  service.train(d1.training);
+  Agent agent = service.make_agent("D1");
+  const auto mid = d1.testing.begin() +
+                   static_cast<std::ptrdiff_t>(d1.testing.size() / 2);
+  agent.replay(std::vector<std::string>(d1.testing.begin(), mid));
+  service.drain();
+  agent.replay(std::vector<std::string>(mid, d1.testing.end()));
+  for (int i = 0; i < GetParam(); ++i) service.heartbeat_tick();
+  service.drain();
+  service.heartbeat_advance(24L * 3600 * 1000);
+  service.drain();
+  EXPECT_EQ(d1.anomalous_event_ids.size(), 21u);
+  EXPECT_EQ(anomalous_ids(service.anomalies()), d1.anomalous_event_ids);
+}
+
+INSTANTIATE_TEST_SUITE_P(Ticks, HeartbeatBacklog,
+                         ::testing::Values(0, 1, 2, 5, 20));
+
 TEST(ServiceE2E, Fig4AccuracyOnD2) {
   Dataset d2 = make_d2(0.05);
   ServiceOptions opts;

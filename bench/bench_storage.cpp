@@ -17,9 +17,14 @@
 //   storage_prune_speedup_x       pruned / full-scan rate (floor: 5x)
 //   storage_heap_highwater_ratio_x  estimated all-in-memory bytes / peak
 //                                 live heap during ingest (floor: 2x)
+//   storage_hot_heap_per_row_x    live heap per hot-tier document / mean
+//                                 row (dump()) bytes, on an in-memory store
+//                                 (ceiling: kMaxHotHeapPerRow; lower is
+//                                 better)
 //
 // Exits 1 in-process when the speedup is under 5x, the heap ratio is under
-// 2x, or the two query paths disagree on a single count.
+// 2x, the hot-tier heap per row is over its ceiling, or the two query paths
+// disagree on a single count.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -148,6 +153,12 @@ Json make_doc(size_t i) {
   return Json(std::move(o));
 }
 
+// Ceiling on storage_hot_heap_per_row_x. A hot tier that keeps each
+// document once, as its row, costs the row plus its std::string: 1.4x on
+// this corpus (x86-64, GCC 12.2, Release). One that kept a Json tree and a
+// term-index entry per document instead read 6.9x.
+constexpr double kMaxHotHeapPerRow = 2.5;
+
 struct StageResult {
   std::string stage;
   double msgs_per_sec = 0;
@@ -218,6 +229,31 @@ int main() {
     in_memory_estimate = per_doc * n_docs;
     std::printf("in-memory estimate: %zu bytes/doc -> %.1f MB for the corpus\n",
                 per_doc, static_cast<double>(in_memory_estimate) / 1e6);
+  }
+
+  // The hot tier's memory shape: an in-memory store (it never seals) of the
+  // corpus's first hot_max docs. The heap it holds per document is divided
+  // by the mean size of a document's row, the bytes a sealed segment keeps.
+  double hot_heap_per_row;
+  {
+    size_t row_bytes = 0;
+    for (size_t i = 0; i < hot_max; ++i) {
+      row_bytes += loglens::make_doc(i).dump().size();
+    }
+    const size_t before = g_live.load();
+    DocumentStoreOptions mem;
+    mem.name = "bench_hot";
+    DocumentStore hot(mem);
+    for (size_t i = 0; i < hot_max; ++i) hot.insert(loglens::make_doc(i));
+    const double heap_per_doc =
+        static_cast<double>(g_live.load() - before) /
+        static_cast<double>(hot_max);
+    const double mean_row =
+        static_cast<double>(row_bytes) / static_cast<double>(hot_max);
+    hot_heap_per_row = heap_per_doc / mean_row;
+    std::printf("storage_hot_heap_per_row_x: %.2fx (%.0f heap bytes per hot "
+                "doc, %.1f-byte mean row, %zu docs)\n",
+                hot_heap_per_row, heap_per_doc, mean_row, hot_max);
   }
 
   const std::string dir =
@@ -309,6 +345,11 @@ int main() {
               static_cast<double>(in_memory_estimate) / 1e6);
   results.push_back(heap);
 
+  StageResult hot_shape;
+  hot_shape.stage = "storage_hot_heap_per_row_x";
+  hot_shape.msgs_per_sec = hot_heap_per_row;
+  results.push_back(hot_shape);
+
   loglens::write_bench_json(results);
   fs::remove_all(dir);
 
@@ -328,6 +369,12 @@ int main() {
     std::printf("FAIL: heap high-water ratio %.1fx is under the 2x floor "
                 "(heap is not bounded by the hot segment)\n",
                 heap.msgs_per_sec);
+    ok = false;
+  }
+  if (hot_heap_per_row > loglens::kMaxHotHeapPerRow) {
+    std::printf("FAIL: hot tier holds %.2fx its rows' bytes, over the %.1fx "
+                "ceiling (a document kept more than once)\n",
+                hot_heap_per_row, loglens::kMaxHotHeapPerRow);
     ok = false;
   }
   return ok ? 0 : 1;

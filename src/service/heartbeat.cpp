@@ -72,7 +72,7 @@ size_t HeartbeatController::emit_all() {
   return emitted;
 }
 
-size_t HeartbeatController::tick() {
+size_t HeartbeatController::tick(bool upstream_pending) {
   observe_new_logs();
   constexpr double kAlpha = 0.3;
   for (auto& [_, clock] : sources_) {
@@ -81,7 +81,8 @@ size_t HeartbeatController::tick() {
             ? static_cast<double>(clock.logs_since_tick)
             : (1 - kAlpha) * clock.avg_logs_per_tick +
                   kAlpha * static_cast<double>(clock.logs_since_tick);
-    if (clock.logs_since_tick == 0 && clock.last_ts >= 0) {
+    if (!upstream_pending && clock.logs_since_tick == 0 &&
+        clock.last_ts >= 0) {
       // Quiet source: extrapolate by rate (expected logs/tick x mean gap),
       // bounded below so expiry is eventually reached.
       auto advance = static_cast<int64_t>(clock.avg_logs_per_tick *

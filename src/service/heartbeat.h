@@ -44,7 +44,11 @@ class HeartbeatController {
 
   // Observes new parsed logs (updating per-source clocks), then emits one
   // heartbeat per active source. Returns the number of heartbeats emitted.
-  size_t tick();
+  // `upstream_pending` says the stage feeding kTopic still holds input: a
+  // source may look quiet only because its lines have not been parsed yet,
+  // so no clock is extrapolated and every heartbeat carries its source's
+  // observed (or already predicted) time.
+  size_t tick(bool upstream_pending = false);
 
   // Test/replay hook: force-advance all sources by `ms` of log time and emit.
   size_t tick_advance(int64_t ms);

@@ -130,6 +130,16 @@ BuildResult LogLensService::train(
   return result;
 }
 
+size_t LogLensService::heartbeat_tick() {
+  // Published is read before polled, so a batch finishing in between reads
+  // as still held (the safe direction).
+  const uint64_t published = parser_runner_->records_published();
+  const bool parser_holds_input =
+      parser_runner_->records_in() != published ||
+      parser_runner_->input_lag() > 0;
+  return heartbeat_.tick(parser_holds_input);
+}
+
 Agent LogLensService::make_agent(const std::string& source) {
   return Agent(broker_, AgentOptions{source, "ingest"});
 }

@@ -92,8 +92,11 @@ class LogLensService {
 
   // Heartbeat controller ticks (also see HeartbeatController docs). Call
   // drain() afterwards (or rely on the background runners) so the detector
-  // consumes the emitted heartbeats.
-  size_t heartbeat_tick() { return heartbeat_.tick(); }
+  // consumes the emitted heartbeats. heartbeat_tick() extrapolates no quiet
+  // source while the parser stage still holds input (lines on `ingest`, or
+  // a polled batch not yet published); heartbeat_advance() always forces
+  // log time forward by `ms`.
+  size_t heartbeat_tick();
   size_t heartbeat_advance(int64_t ms) { return heartbeat_.tick_advance(ms); }
 
   Broker& broker() { return broker_; }

@@ -55,7 +55,7 @@ ParserTask::ParserTask(std::shared_ptr<ModelBroadcast> model, size_t partition,
                         "Anomalies emitted by the stateless stage");
   regex_budget_exhausted_total_ = &registry.counter(
       "loglens_regex_budget_exhausted_total", labels,
-      "Regex match attempts abandoned on VM step-budget exhaustion");
+      "Split-rule regex matches abandoned on VM step-budget exhaustion");
   grok_set_fallbacks_total_ = &registry.counter(
       "loglens_grok_set_fallbacks_total", labels,
       "Set-matcher walks abandoned to the per-pattern DP loop");
@@ -100,12 +100,10 @@ void ParserTask::sync_stats() {
   grok_set_fallbacks_total_->inc(
       stat_delta(stats.set_fallbacks, synced_.set_fallbacks));
   synced_ = stats;
-  // Budget exhaustion lives on the regex instances this task owns (the
-  // classifier's Table I regexes + user split rules), never on a global, so
-  // summing per task cannot double-count across partitions.
-  const uint64_t exhausted =
-      preprocessor_.classifier().budget_exhausted_total() +
-      preprocessor_.split_rule_budget_exhausted_total();
+  // Budget exhaustion lives on the regex instances this task owns (its
+  // split rules), never on a global, so summing per task cannot double-count
+  // across partitions.
+  const uint64_t exhausted = preprocessor_.split_rule_budget_exhausted_total();
   regex_budget_exhausted_total_->inc(
       stat_delta(exhausted, synced_regex_exhausted_));
   synced_regex_exhausted_ = exhausted;

@@ -87,45 +87,24 @@ void DocumentStore::open_dir() {
   update_gauges(segments_.size(), 0);
 }
 
-void DocumentStore::index_hot_locked(const Json& doc, uint32_t local_id) {
-  if (!doc.is_object()) return;
-  const JsonObject& obj = doc.as_object();
-  for (size_t i = 0; i < obj.size(); ++i) {
-    if (!obj[i].second.is_string()) continue;
-    // Index the first occurrence only — the value Json::find (and the
-    // sealed columns) see.
-    bool duplicate = false;
-    for (size_t j = 0; j < i; ++j) {
-      if (obj[j].first == obj[i].first) {
-        duplicate = true;
-        break;
-      }
-    }
-    if (duplicate) continue;
-    hot_index_[obj[i].first][obj[i].second.as_string()].push_back(local_id);
-  }
-}
-
-void DocumentStore::rebuild_hot_index_locked() {
-  hot_index_.clear();
-  for (uint32_t i = 0; i < hot_docs_.size(); ++i) {
-    index_hot_locked(hot_docs_[i], i);
-  }
-}
-
 void DocumentStore::update_gauges(size_t segments, size_t hot_docs) {
   segments_gauge_->set(static_cast<int64_t>(segments));
   hot_docs_gauge_->set(static_cast<int64_t>(hot_docs));
 }
 
 uint64_t DocumentStore::insert(Json doc) {
+  // Serialized into a reused per-thread buffer, then copied out at its exact
+  // size: the row is retained, so the slack of a grown string would be too.
+  thread_local std::string scratch;
+  scratch.clear();
+  doc.dump_to(scratch);
+  std::string row(scratch);
   uint64_t id;
   bool should_flush = false;
   {
     RankedMutexLock lock(mu_);
     id = hot_base_ + hot_docs_.size();
-    index_hot_locked(doc, static_cast<uint32_t>(hot_docs_.size()));
-    hot_docs_.push_back(std::move(doc));
+    hot_docs_.push_back(std::move(row));
     hot_docs_gauge_->set(static_cast<int64_t>(hot_docs_.size()));
     should_flush = !options_.dir.empty() && options_.hot_max_docs > 0 &&
                    hot_docs_.size() >= options_.hot_max_docs;
@@ -143,7 +122,9 @@ std::optional<Json> DocumentStore::get(uint64_t id) const {
   if (id >= hot_base_) {
     const uint64_t local = id - hot_base_;
     if (local >= hot_docs_.size()) return std::nullopt;
-    return hot_docs_[local];
+    auto parsed = Json::parse(hot_docs_[local]);
+    if (!parsed.ok()) return std::nullopt;
+    return std::move(parsed.value());
   }
   // Last segment with base_id <= id.
   auto it = std::upper_bound(segments_.begin(), segments_.end(), id,
@@ -177,6 +158,24 @@ bool matches(const Json& doc, const Query& q) {
   return true;
 }
 
+// The row scan: parses rows 0..n-1 in order and matches each against the
+// clauses, appending matches to `out` (when non-null) until `hits` reaches
+// the limit. The hot segment answers every query this way; a sealed one
+// does under sequential_scan. Returns the rows scanned.
+template <typename RowAt>
+size_t scan_rows(size_t n, RowAt row_at, const Query& q, size_t* hits,
+                 std::vector<Json>* out) {
+  size_t scanned = 0;
+  for (size_t i = 0; i < n && *hits < q.limit; ++i) {
+    ++scanned;
+    auto parsed = Json::parse(row_at(i));
+    if (!parsed.ok() || !matches(parsed.value(), q)) continue;
+    ++*hits;
+    if (out != nullptr) out->push_back(std::move(parsed.value()));
+  }
+  return scanned;
+}
+
 struct SegmentOutcome {
   size_t scanned = 0;
   bool pruned = false;  // skipped without scanning a single document
@@ -184,19 +183,16 @@ struct SegmentOutcome {
 
 // Runs the query over one sealed segment. Appends parsed matches to `out`
 // (or only counts when out == nullptr — the columnar count() path never
-// touches document bytes). `hits` spans segments so `limit` is global.
+// touches document bytes). `hits` spans segments so `q.limit` is global.
 SegmentOutcome run_segment(const Segment& seg, const Query& q,
-                           bool zone_pruning, bool sequential, size_t limit,
-                           size_t* hits, std::vector<Json>* out) {
+                           bool zone_pruning, bool sequential, size_t* hits,
+                           std::vector<Json>* out) {
   SegmentOutcome r;
   if (sequential) {
-    for (uint32_t i = 0; i < seg.doc_count() && *hits < limit; ++i) {
-      ++r.scanned;
-      auto parsed = Json::parse(seg.doc_bytes(i));
-      if (!parsed.ok() || !matches(parsed.value(), q)) continue;
-      ++*hits;
-      if (out != nullptr) out->push_back(std::move(parsed.value()));
-    }
+    r.scanned = scan_rows(
+        seg.doc_count(),
+        [&](size_t i) { return seg.doc_bytes(static_cast<uint32_t>(i)); }, q,
+        hits, out);
     return r;
   }
 
@@ -271,13 +267,13 @@ SegmentOutcome run_segment(const Segment& seg, const Query& q,
   if (driver >= 0) {
     const TermPlan& d = terms[static_cast<size_t>(driver)];
     const uint32_t len = d.f->postings[d.term_id].second;
-    for (uint32_t k = 0; k < len && *hits < limit; ++k) {
+    for (uint32_t k = 0; k < len && *hits < q.limit; ++k) {
       const uint32_t i = Segment::posting_at(*d.f, d.term_id, k);
       ++r.scanned;
       if (eval(i)) emit(i);
     }
   } else {
-    for (uint32_t i = 0; i < seg.doc_count() && *hits < limit; ++i) {
+    for (uint32_t i = 0; i < seg.doc_count() && *hits < q.limit; ++i) {
       ++r.scanned;
       if (eval(i)) emit(i);
     }
@@ -297,48 +293,15 @@ size_t DocumentStore::execute(const Query& q, QueryStats* stats,
     ++local.segments_considered;
     SegmentOutcome oc =
         run_segment(*seg, q, options_.zone_map_pruning,
-                    options_.sequential_scan, q.limit, &hits, out);
+                    options_.sequential_scan, &hits, out);
     local.docs_scanned += oc.scanned;
     if (oc.pruned) ++local.segments_pruned;
   }
 
-  // Hot segment, driven from the smallest in-memory posting list when a
-  // term clause has one.
-  const std::vector<uint32_t>* postings = nullptr;
-  bool hot_possible = hits < q.limit;
-  for (const auto& c : q.clauses) {
-    if (!hot_possible || c.kind != QueryClause::Kind::kTerm) continue;
-    auto fit = hot_index_.find(c.field);
-    if (fit == hot_index_.end()) {
-      hot_possible = false;
-      break;
-    }
-    auto vit = fit->second.find(c.term);
-    if (vit == fit->second.end()) {
-      hot_possible = false;
-      break;
-    }
-    if (postings == nullptr || vit->second.size() < postings->size()) {
-      postings = &vit->second;
-    }
-  }
-  if (hot_possible && postings != nullptr) {
-    for (uint32_t i : *postings) {
-      if (hits >= q.limit) break;
-      ++local.docs_scanned;
-      if (!matches(hot_docs_[i], q)) continue;
-      ++hits;
-      if (out != nullptr) out->push_back(hot_docs_[i]);
-    }
-  } else if (hot_possible) {
-    for (const Json& d : hot_docs_) {
-      if (hits >= q.limit) break;
-      ++local.docs_scanned;
-      if (!matches(d, q)) continue;
-      ++hits;
-      if (out != nullptr) out->push_back(d);
-    }
-  }
+  local.docs_scanned += scan_rows(
+      hot_docs_.size(),
+      [&](size_t i) -> std::string_view { return hot_docs_[i]; }, q, &hits,
+      out);
 
   if (local.segments_pruned > 0) pruned_total_->inc(local.segments_pruned);
   if (stats != nullptr) *stats = local;
@@ -385,7 +348,6 @@ void DocumentStore::clear() {
     for (const auto& seg : segments_) paths.push_back(seg->path());
     segments_.clear();
     hot_docs_.clear();
-    hot_index_.clear();
     hot_base_ = 0;
   }
   for (const auto& p : paths) std::remove(p.c_str());
@@ -429,7 +391,7 @@ Status DocumentStore::flush_internal(bool force) {
 
 Status DocumentStore::flush_locked(bool force) {
   uint64_t base;
-  std::vector<Json> docs;
+  std::vector<std::string_view> rows;
   {
     RankedMutexLock lock(mu_);
     if (hot_docs_.empty()) return Status::Ok();
@@ -438,9 +400,11 @@ Status DocumentStore::flush_locked(bool force) {
       return Status::Ok();  // a racing inserter's flush already ran
     }
     base = hot_base_;
-    docs = hot_docs_;
+    // Views stay valid past the lock: appends never move a deque's
+    // elements, and only this flush (flush_mu_ held) erases them.
+    rows.assign(hot_docs_.begin(), hot_docs_.end());
   }
-  const std::string bytes = encode_segment(base, docs);
+  const std::string bytes = encode_segment(base, rows);
   const std::string path = segment_path(base);
   if (options_.faults != nullptr) {
     const FaultAction fault = options_.faults->check(kFaultSiteSegmentFlush);
@@ -480,9 +444,8 @@ Status DocumentStore::flush_locked(bool force) {
     // reader ever sees the documents twice or not at all. Inserts that
     // landed while we encoded stay hot with their local ids shifted.
     hot_docs_.erase(hot_docs_.begin(),
-                    hot_docs_.begin() + static_cast<ptrdiff_t>(docs.size()));
-    hot_base_ = base + docs.size();
-    rebuild_hot_index_locked();
+                    hot_docs_.begin() + static_cast<ptrdiff_t>(rows.size()));
+    hot_base_ = base + rows.size();
     nsegs = segments_.size();
     nhot = hot_docs_.size();
   }
@@ -525,19 +488,16 @@ Status DocumentStore::compact_locked() {
   }
   if (run.empty()) return Status::Ok();
 
-  std::vector<Json> docs;
-  docs.reserve(total);
+  // The run's rows pass straight through; `run` keeps their mappings alive.
+  std::vector<std::string_view> rows;
+  rows.reserve(total);
   for (const auto& seg : run) {
     for (uint32_t i = 0; i < seg->doc_count(); ++i) {
-      auto parsed = Json::parse(seg->doc_bytes(i));
-      if (!parsed.ok()) {
-        return Status::Error("segment row unreadable: " + seg->path());
-      }
-      docs.push_back(std::move(parsed.value()));
+      rows.push_back(seg->doc_bytes(i));
     }
   }
   const uint64_t base = run.front()->base_id();
-  const std::string bytes = encode_segment(base, docs);
+  const std::string bytes = encode_segment(base, rows);
   const std::string path = run.front()->path();
   const std::string tmp = path + ".merge.tmp";
   if (options_.faults != nullptr) {

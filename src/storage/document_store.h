@@ -3,26 +3,30 @@
 // The paper uses Elasticsearch for three roles: archiving raw logs by
 // source, storing learned models, and storing anomalies for human review,
 // all queried by simple term/time predicates. This store covers exactly
-// that, but no longer caps retention at RAM: documents land in a mutable
-// in-memory *hot segment* which seals and flushes to immutable, mmap'd
-// columnar segment files (storage/segment.h) once it reaches
-// `hot_max_docs`. Sealed segments carry per-field string dictionaries with
-// posting lists and integer columns with zone maps, so term/range queries
-// prune whole segments before touching a byte of document data, and small
-// adjacent segments are merged by compaction (inline after a flush, or on an
-// explicit compact()). Ids are dense and stable: segment k covers
+// that, but no longer caps retention at RAM. Each document is serialized
+// once, at insert, into its dump() row, the bytes a sealed segment stores.
+// Rows land in an unsealed in-memory *hot segment*, which seals and flushes
+// to an immutable, mmap'd columnar segment file (storage/segment.h) once it
+// reaches `hot_max_docs`. Sealed segments carry per-field string
+// dictionaries with posting lists and integer columns with zone maps, so
+// term/range queries prune whole segments before touching a byte of
+// document data, and small adjacent segments are merged by compaction
+// (inline after a flush, or on an explicit compact()). The hot segment has
+// no term index: it answers every query with one row scan (parse each row,
+// match the clauses), the same loop sequential_scan runs over sealed
+// segments. Ids are dense and stable: segment k covers
 // [base_id, base_id + doc_count) and neither flush nor compaction renumbers
 // a document.
 //
 // With an empty `dir` the store is purely in-memory (the hot segment never
-// seals) and behaves exactly like the seed-era vector store. Thread-safe.
+// seals). Thread-safe.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/lock_rank.h"
@@ -69,8 +73,8 @@ struct Query {
 };
 
 // Execution probe filled by query()/count(): how much work the plan did.
-// Tests pin the smallest-posting-list selection and zone-map pruning with
-// it; the dashboard does not expose it.
+// Tests pin the smallest-posting-list selection, zone-map pruning and the
+// hot tier's full row scan with it.
 struct QueryStats {
   size_t segments_considered = 0;  // sealed segments examined by the plan
   size_t segments_pruned = 0;      // skipped via zone map / dictionary miss
@@ -114,10 +118,12 @@ class DocumentStore {
   DocumentStore(const DocumentStore&) = delete;
   DocumentStore& operator=(const DocumentStore&) = delete;
 
-  // Inserts a document and returns its id. Ids are assigned densely from 0
-  // (resuming after the last sealed segment when `dir` held segments).
+  // Serializes a document to its row and returns its id. Ids are assigned
+  // densely from 0 (resuming after the last sealed segment when `dir` held
+  // segments).
   uint64_t insert(Json doc) LOGLENS_EXCLUDES(mu_);
 
+  // The document parsed back from its row.
   std::optional<Json> get(uint64_t id) const LOGLENS_EXCLUDES(mu_);
 
   // Returns copies of documents satisfying every clause, in insertion
@@ -126,7 +132,7 @@ class DocumentStore {
   std::vector<Json> query(const Query& q, QueryStats* stats) const
       LOGLENS_EXCLUDES(mu_);
   // count() never materializes documents: sealed segments are counted from
-  // their columns alone.
+  // their columns alone (hot rows are still parsed to be matched).
   size_t count(const Query& q, QueryStats* stats = nullptr) const
       LOGLENS_EXCLUDES(mu_);
 
@@ -164,9 +170,6 @@ class DocumentStore {
   Status flush_locked(bool force) LOGLENS_REQUIRES(flush_mu_)
       LOGLENS_EXCLUDES(mu_);
   Status compact_locked() LOGLENS_REQUIRES(flush_mu_) LOGLENS_EXCLUDES(mu_);
-  void index_hot_locked(const Json& doc, uint32_t local_id)
-      LOGLENS_REQUIRES(mu_);
-  void rebuild_hot_index_locked() LOGLENS_REQUIRES(mu_);
   void update_gauges(size_t segments, size_t hot_docs);
   std::string segment_path(uint64_t base_id) const;
 
@@ -195,13 +198,12 @@ class DocumentStore {
   std::vector<std::shared_ptr<const Segment>> segments_
       LOGLENS_GUARDED_BY(mu_);
 
-  // The hot segment: ids [hot_base_, hot_base_ + hot_docs_.size()), plus a
-  // first-occurrence term index (field -> value -> ascending local ids).
+  // The hot segment: ids [hot_base_, hot_base_ + hot_docs_.size()), one
+  // dump() row per document. A deque, because appends never move the rows
+  // already in it: flush encodes views of its prefix without mu_ while
+  // inserts go on (only flush, under flush_mu_, erases rows).
   uint64_t hot_base_ LOGLENS_GUARDED_BY(mu_) = 0;
-  std::vector<Json> hot_docs_ LOGLENS_GUARDED_BY(mu_);
-  std::unordered_map<std::string,
-                     std::unordered_map<std::string, std::vector<uint32_t>>>
-      hot_index_ LOGLENS_GUARDED_BY(mu_);
+  std::deque<std::string> hot_docs_ LOGLENS_GUARDED_BY(mu_);
 
   uint64_t rejected_ = 0;  // written only by open_dir(), before publication
 };

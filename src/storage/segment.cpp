@@ -134,22 +134,23 @@ void for_each_first_field(const Json& doc, Fn&& fn) {
 
 }  // namespace
 
-std::string encode_segment(uint64_t base_id, const std::vector<Json>& docs) {
-  const uint32_t n = static_cast<uint32_t>(docs.size());
+std::string encode_segment(uint64_t base_id,
+                           const std::vector<std::string_view>& rows) {
+  const uint32_t n = static_cast<uint32_t>(rows.size());
 
-  // Row section: serialized docs + offsets.
+  // Row section: the rows + offsets.
   std::string blob;
   std::vector<uint64_t> offsets;
-  offsets.reserve(docs.size() + 1);
-  for (const auto& d : docs) {
+  offsets.reserve(rows.size() + 1);
+  for (std::string_view row : rows) {
     offsets.push_back(blob.size());
-    d.dump_to(blob);
+    blob.append(row);
   }
   offsets.push_back(blob.size());
 
-  // Column section, built by one first-occurrence pass per doc. Field and
-  // term ids are assigned in first-appearance order (deterministic given
-  // the docs).
+  // Column section, built by one parse and one first-occurrence pass per
+  // row. Field and term ids are assigned in first-appearance order
+  // (deterministic given the rows).
   struct StringCol {
     std::string name;
     std::vector<std::string> terms;
@@ -170,7 +171,10 @@ std::string encode_segment(uint64_t base_id, const std::vector<Json>& docs) {
   std::unordered_map<std::string, size_t> iidx;
 
   for (uint32_t d = 0; d < n; ++d) {
-    for_each_first_field(docs[d], [&](const std::string& key, const Json& v) {
+    auto doc = Json::parse(rows[d]);
+    if (!doc.ok()) continue;
+    for_each_first_field(doc.value(), [&](const std::string& key,
+                                          const Json& v) {
       if (v.is_string()) {
         auto [it, fresh] = sidx.try_emplace(key, scols.size());
         if (fresh) {

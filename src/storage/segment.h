@@ -2,8 +2,10 @@
 //
 // A segment is the sealed form of the store's in-memory hot segment: a
 // contiguous id range [base_id, base_id + doc_count) of JSON documents,
-// serialized once and then only ever read through an mmap. The layout is
-// column-first so queries touch the few bytes they need:
+// written once and then only ever read through an mmap. The hot segment
+// already holds each document as its row, so sealing copies the rows and
+// adds columns built from one parse per row. The layout is column-first so
+// queries touch the few bytes they need:
 //
 //   header   magic, payload size, fnv1a-64 checksum of the payload
 //   rows     per-doc serialized JSON (the byte-exact dump() of each doc),
@@ -38,9 +40,12 @@
 
 namespace loglens {
 
-// Serializes one sealed segment (header + payload) into a byte buffer. The
+// Serializes one sealed segment (header + payload) into a byte buffer from
+// its rows, each the dump() of one document. A row that does not parse as
+// JSON is stored but gets no column values, so no clause can match it. The
 // caller owns durability (tmp + rename) and fault injection at the write.
-std::string encode_segment(uint64_t base_id, const std::vector<Json>& docs);
+std::string encode_segment(uint64_t base_id,
+                           const std::vector<std::string_view>& rows);
 
 class Segment {
  public:

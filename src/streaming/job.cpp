@@ -93,6 +93,10 @@ void JobRunner::produce_with_retry(const std::string& topic, Message message) {
 }
 
 void JobRunner::process_batch(std::vector<Message> batch) {
+  // First, so the batch reads as held (records_in() ahead of
+  // records_published()) as soon after the poll as possible.
+  const size_t records = batch.size();
+  records_in_.fetch_add(records);
   // Open this batch's pipeline span: its trace identity comes from the
   // first traced input message (so the producing stage's pipeline span is
   // this one's parent — parser.pipeline chains into detector.pipeline), and
@@ -136,15 +140,16 @@ void JobRunner::process_batch(std::vector<Message> batch) {
   };
 
   LOGLENS_SCHED_POINT("job.process_batch");
-  records_in_.fetch_add(batch.size());
-  records_total_->inc(batch.size());
+  records_total_->inc(records);
   queue_wait_us_->record(dequeue_us - queue_start_us);
   BatchResult result;
   try {
     result = engine_.run_batch(std::move(batch));
   } catch (...) {
-    // Fatal batch: still record the pipeline span (the trace shows the
-    // aborted batch) before the failure escalates to the supervisor.
+    // Fatal batch: it will never publish, so it stops counting as held
+    // (recovery redelivers it). Still record the pipeline span (the trace
+    // shows the aborted batch) before the failure escalates.
+    records_published_.fetch_add(records);
     if (traced) {
       file_span(".pipeline", pipeline_ctx.span_id, upstream_span,
                 static_cast<int64_t>(engine_.batches_run()), dequeue_us,
@@ -180,6 +185,7 @@ void JobRunner::process_batch(std::vector<Message> batch) {
       produce_with_retry(options_.output_topic, std::move(m));
     }
   }
+  records_published_.fetch_add(records);
   const uint64_t publish_end_us = trace_clock::now_us();
   publish_us_->record(publish_end_us - publish_start_us);
   if (traced) {
@@ -211,17 +217,8 @@ void JobRunner::loop() {
       mark_failed(e.what());
     }
   }
-  if (failed_.load()) return;
   // Final drain so stop() never strands buffered input.
-  for (auto batch = consumer_.poll(options_.batch_size); !batch.empty();
-       batch = consumer_.poll(options_.batch_size)) {
-    try {
-      process_batch(std::move(batch));
-    } catch (const std::exception& e) {
-      mark_failed(e.what());
-      return;
-    }
-  }
+  drain();
 }
 
 void JobRunner::drain() {

@@ -61,6 +61,10 @@ class JobRunner {
 
   uint64_t batches() const { return batches_.load(); }
   uint64_t records_in() const { return records_in_.load(); }
+  // Input records whose batch's outputs are on the output topic (a fatal
+  // batch counts once it has failed). records_in() - records_published() is
+  // what the job has polled but not yet published.
+  uint64_t records_published() const { return records_published_.load(); }
 
   // Messages buffered on the input topic behind this job. Under fault
   // injection an empty poll is not proof of emptiness (fetch faults read as
@@ -98,6 +102,7 @@ class JobRunner {
   std::atomic<bool> failed_{false};
   std::atomic<uint64_t> batches_{0};
   std::atomic<uint64_t> records_in_{0};
+  std::atomic<uint64_t> records_published_{0};
   // Near-leaf: held only around the error-string copy, never across calls
   // into other subsystems (metrics counters fire outside it).
   mutable RankedMutex error_mu_{lock_rank::kJobState};

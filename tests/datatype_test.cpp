@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "regexlite/regex.h"
+
 namespace loglens {
 namespace {
 
@@ -99,6 +105,77 @@ TEST(Classifier, MatchesRespectsCoverage) {
   EXPECT_FALSE(c.matches("two words", Datatype::kNotSpace));
   EXPECT_TRUE(c.matches("2016/02/23 09:00:31.000", Datatype::kDateTime));
   EXPECT_FALSE(c.matches("hello", Datatype::kDateTime));
+}
+
+// The classifier's hand-written scanners against the Table I regexes they
+// stand for, run on the regex VM as the executable spec: classify() must
+// pick the most specific regex that matches (else NOTSPACE), and matches()
+// must agree with each regex on every token.
+TEST(Classifier, ScannersAgreeWithTableOneRegexes) {
+  const Regex word = Regex::compile_or_die("[a-zA-Z]+");
+  const Regex number = Regex::compile_or_die("-?[0-9]+(\\.[0-9]+)?");
+  const Regex ip = Regex::compile_or_die(
+      "[0-9]{1,3}\\.[0-9]{1,3}\\.[0-9]{1,3}\\.[0-9]{1,3}");
+  const DatatypeClassifier c;
+  size_t seen[kDatatypeCount] = {};
+  auto check = [&](const std::string& t) {
+    const bool w = word.full_match(t);
+    const bool n = number.full_match(t);
+    const bool i = ip.full_match(t);
+    const Datatype want = w   ? Datatype::kWord
+                          : n ? Datatype::kNumber
+                          : i ? Datatype::kIp
+                              : Datatype::kNotSpace;
+    ++seen[static_cast<int>(want)];
+    ASSERT_EQ(c.classify(t), want) << "token '" << t << "'";
+    ASSERT_EQ(c.matches(t, Datatype::kWord), w) << "token '" << t << "'";
+    ASSERT_EQ(c.matches(t, Datatype::kNumber), n) << "token '" << t << "'";
+    ASSERT_EQ(c.matches(t, Datatype::kIp), i) << "token '" << t << "'";
+  };
+
+  for (const char* t :
+       {"", "-", ".", "--1", "1.", ".5", "-.5", "-0", "-1.5", "1.5.", "1..2",
+        "007", "1.2.3", "1.2.3.4", "1.2.3.4.", "1.2.3.4.5", "1234.1.1.1",
+        "1.1.1.1234", "256.1.1.1", "999.999.999.999", "-1.2.3.4", "a", "Z",
+        "aZ", "a1", "1a", "a-b", "a.b", "_", "\xc3\xa9"}) {
+    check(t);
+    if (HasFatalFailure()) return;
+  }
+
+  // Seeded random tokens. Most draw each byte from one of a few alphabets;
+  // every fourth is dotted groups of 0-4 digits, so tokens near the IP and
+  // NUMBER boundaries are common.
+  const std::vector<std::string> alphabets = {
+      "abcxyzABCXYZ", "0123456789", "0123456789.", "0123456789.-",
+      "abzAZ09.-", "abzAZ09.-_:/@\x7f\x80"};
+  Rng rng(20180702);
+  for (int k = 0; k < 120000; ++k) {
+    std::string t;
+    if (k % 4 == 0) {
+      if (rng.chance(0.1)) t.push_back('-');
+      const size_t groups = 1 + rng.below(5);
+      for (size_t g = 0; g < groups; ++g) {
+        if (g > 0) t.push_back('.');
+        const size_t digits = rng.below(5);
+        for (size_t j = 0; j < digits; ++j) {
+          t.push_back(static_cast<char>('0' + rng.below(10)));
+        }
+      }
+    } else {
+      const std::string& alphabet = rng.pick(alphabets);
+      const size_t len = rng.below(17);
+      for (size_t j = 0; j < len; ++j) {
+        t.push_back(alphabet[rng.below(alphabet.size())]);
+      }
+    }
+    check(t);
+    if (HasFatalFailure()) return;
+  }
+  // Every outcome is well represented, so the agreement is not vacuous.
+  for (Datatype t : {Datatype::kWord, Datatype::kNumber, Datatype::kIp,
+                     Datatype::kNotSpace}) {
+    EXPECT_GT(seen[static_cast<int>(t)], 500u) << datatype_name(t);
+  }
 }
 
 }  // namespace

@@ -75,6 +75,24 @@ TEST(Heartbeat, MinAdvanceBoundsQuietExtrapolation) {
   EXPECT_EQ(msgs[0].timestamp_ms, 1000 + HeartbeatController::kMinAdvanceMs);
 }
 
+TEST(Heartbeat, PendingUpstreamHoldsQuietSourcesAtObservedTime) {
+  Broker broker;
+  broker.create_topic("parsed", 1);
+  HeartbeatController hb(broker);
+  broker.produce("parsed", parsed("A", 1000));
+  hb.tick();
+  uint64_t offset = broker.end_offset("parsed", 0);
+  // The source's next lines may still be upstream: no extrapolation.
+  EXPECT_EQ(hb.tick(/*upstream_pending=*/true), 1u);
+  EXPECT_EQ(hb.tick(/*upstream_pending=*/true), 1u);
+  hb.tick();  // upstream drained and still nothing new: quiet
+  auto msgs = broker.fetch("parsed", 0, offset, 10);
+  ASSERT_EQ(msgs.size(), 3u);
+  EXPECT_EQ(msgs[0].timestamp_ms, 1000);
+  EXPECT_EQ(msgs[1].timestamp_ms, 1000);
+  EXPECT_EQ(msgs[2].timestamp_ms, 1000 + HeartbeatController::kMinAdvanceMs);
+}
+
 TEST(Heartbeat, TickAdvanceForcesLogTimeForward) {
   Broker broker;
   broker.create_topic("parsed", 1);

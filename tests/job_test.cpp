@@ -43,8 +43,11 @@ TEST(JobRunner, DrainProcessesBacklogSynchronously) {
   }
   StreamEngine engine = make_engine();
   JobRunner runner(broker, engine, {"in", "out", 4});
+  EXPECT_EQ(runner.input_lag(), 10u);
+  EXPECT_EQ(runner.records_published(), 0u);
   runner.drain();
   EXPECT_EQ(runner.records_in(), 10u);
+  EXPECT_EQ(runner.records_published(), 10u);  // nothing held
   EXPECT_GE(runner.batches(), 3u);  // batch size 4 => at least 3 batches
   EXPECT_EQ(broker.end_offset("out", 0), 10u);
   auto out = broker.fetch("out", 0, 0, 100);

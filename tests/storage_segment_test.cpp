@@ -56,11 +56,12 @@ void write_file(const std::string& path, const std::string& bytes) {
 TEST(SegmentFile, TornAtEveryByteBoundaryRejected) {
   const std::string dir = test_dir("torn");
   fs::create_directories(dir);
-  std::vector<Json> docs;
+  std::vector<std::string> rows;
   for (int i = 0; i < 20; ++i) {
-    docs.push_back(doc(i % 2 == 0 ? "web" : "db", 100 + i));
+    rows.push_back(doc(i % 2 == 0 ? "web" : "db", 100 + i).dump());
   }
-  const std::string bytes = encode_segment(0, docs);
+  const std::string bytes = encode_segment(
+      0, std::vector<std::string_view>(rows.begin(), rows.end()));
   const std::string good = dir + "/seg-good.llseg";
   write_file(good, bytes);
   ASSERT_TRUE(Segment::open(good).ok());

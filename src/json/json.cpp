@@ -265,7 +265,9 @@ class Parser {
     }
     std::string_view num = text_.substr(start, pos_ - start);
     if (num.empty() || num == "-") return fail("invalid number");
-    if (!is_double) {
+    // dump() prints the double -0.0 as "-0"; reading that back as the
+    // integer 0 would drop the sign, so it stays a double.
+    if (!is_double && num != "-0") {
       int64_t v = 0;
       auto [p, ec] = std::from_chars(num.data(), num.data() + num.size(), v);
       if (ec == std::errc() && p == num.data() + num.size()) return Json(v);

@@ -10,6 +10,18 @@
 //   3. scan the group's patterns in order until one parses the log.
 // A log no pattern parses is an anomaly (type kUnparsedLog).
 //
+// Step 3 dispatches on a literal. Members of a group share a signature and
+// differ mostly in literal tokens, and every line of a group has the same
+// token count, so the tokens before a member's first ANYDATA line up with
+// the line's one-to-one. On an entry's first index hit the parser picks the
+// token position where the most such members hold a literal and buckets
+// those members by it; every other member goes on the entry's `rest` list.
+// A hit then tries only the line's bucket merged with `rest` in group
+// order: the members it skips hold a different literal where the line has
+// this token, so they cannot parse it, and the ones it tries keep the order
+// above, so outcomes are those of the full scan. The dispatch is
+// built lazily, never on the miss, so signature churn pays nothing for it.
+//
 // The index keys on the hashed datatype sequence directly (no string key is
 // ever built) and is bounded: entries beyond `index_capacity` evict the
 // least-recently-used signature, so adversarial signature churn cannot grow
@@ -31,6 +43,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "grok/datatype.h"
@@ -81,7 +94,8 @@ enum class IndexMode { kEnabled, kDisabled };
 // kAuto: compile the signature-level set matcher and build candidate groups
 // on index misses with one walk. kDisabled: build every group with the
 // per-pattern DP loop — the ablation baseline the differential tests compare
-// against byte-for-byte. Either way the group is then scanned linearly.
+// against byte-for-byte. Either way the group is then scanned through its
+// literal dispatch.
 enum class SetMatchMode { kAuto, kDisabled };
 
 class LogParser {
@@ -126,13 +140,30 @@ class LogParser {
     int generality = 0;
   };
 
+  // Members bucketed[begin, end) hold `literal` at the entry's dispatch
+  // position. The view points into patterns_, which is built once.
+  struct LiteralBucket {
+    std::string_view literal;
+    uint32_t begin = 0;
+    uint32_t end = 0;
+  };
+
   // One cached signature -> candidate-group mapping. The entry owns the
   // signature storage; the index map's span key points into it (std::list
   // nodes are stable under splice, so the span stays valid for the entry's
   // lifetime).
   struct IndexEntry {
     std::vector<Datatype> sig;
-    std::vector<uint32_t> group;
+    std::vector<uint32_t> group;  // pattern indices, in Section III-B order
+    // Literal dispatch, built on the entry's first index hit. `buckets` is
+    // sorted by literal; `bucketed` and `rest` hold pattern indices in
+    // group order within each bucket and within `rest`. No buckets: every
+    // line scans the whole group.
+    bool dispatch_built = false;
+    uint32_t dispatch_pos = 0;
+    std::vector<LiteralBucket> buckets;
+    std::vector<uint32_t> bucketed;
+    std::vector<uint32_t> rest;
   };
   using LruList = std::list<IndexEntry>;
 
@@ -148,10 +179,12 @@ class LogParser {
     }
   };
 
-  // Looks up (and on miss builds + caches) the candidate group for `sig`,
-  // refreshing its LRU position. The returned reference is valid until the
-  // next candidate_group call.
-  const std::vector<uint32_t>& candidate_group(std::span<const Datatype> sig);
+  // Looks up (and on miss builds + caches) the index entry for `sig`,
+  // refreshing its LRU position, and builds its literal dispatch on the
+  // first hit. The returned reference is valid until the next index_entry
+  // call.
+  IndexEntry& index_entry(std::span<const Datatype> sig);
+  void build_dispatch(IndexEntry& entry) const;
 
   // Shared matching core: fills out.pattern_id / timestamp_ms / fields on
   // success, leaving out.raw for the caller to settle.
@@ -161,6 +194,7 @@ class LogParser {
   IndexMode index_mode_;
   size_t index_capacity_;
   std::vector<IndexedPattern> patterns_;
+  std::vector<uint32_t> rank_;  // pattern index -> Section III-B scan rank
   LruList lru_;  // front = most recently used
   std::unordered_map<std::span<const Datatype>, LruList::iterator, SigHash,
                      SigEq>

@@ -131,12 +131,13 @@ BuildResult LogLensService::train(
 }
 
 size_t LogLensService::heartbeat_tick() {
-  // Published is read before polled, so a batch finishing in between reads
-  // as still held (the safe direction).
+  // Published, then lag, then polled. A line on `ingest` when the tick
+  // starts is either still there when the lag is read, or was polled
+  // before that read and so is counted in records_in(), but not in the
+  // earlier read of records_published() unless it was already published.
   const uint64_t published = parser_runner_->records_published();
-  const bool parser_holds_input =
-      parser_runner_->records_in() != published ||
-      parser_runner_->input_lag() > 0;
+  const bool parser_holds_input = parser_runner_->input_lag() > 0 ||
+                                  parser_runner_->records_in() != published;
   return heartbeat_.tick(parser_holds_input);
 }
 

@@ -93,10 +93,7 @@ void JobRunner::produce_with_retry(const std::string& topic, Message message) {
 }
 
 void JobRunner::process_batch(std::vector<Message> batch) {
-  // First, so the batch reads as held (records_in() ahead of
-  // records_published()) as soon after the poll as possible.
   const size_t records = batch.size();
-  records_in_.fetch_add(records);
   // Open this batch's pipeline span: its trace identity comes from the
   // first traced input message (so the producing stage's pipeline span is
   // this one's parent — parser.pipeline chains into detector.pipeline), and

@@ -60,7 +60,10 @@ class JobRunner {
   void drain();
 
   uint64_t batches() const { return batches_.load(); }
-  uint64_t records_in() const { return records_in_.load(); }
+  // Input records polled so far. The poll counts them in the same critical
+  // section that advances the consumer's offsets, so a batch that has left
+  // the input topic is already counted here.
+  uint64_t records_in() const { return consumer_.consumed(); }
   // Input records whose batch's outputs are on the output topic (a fatal
   // batch counts once it has failed). records_in() - records_published() is
   // what the job has polled but not yet published.
@@ -101,7 +104,6 @@ class JobRunner {
   std::atomic<bool> running_{false};
   std::atomic<bool> failed_{false};
   std::atomic<uint64_t> batches_{0};
-  std::atomic<uint64_t> records_in_{0};
   std::atomic<uint64_t> records_published_{0};
   // Near-leaf: held only around the error-string copy, never across calls
   // into other subsystems (metrics counters fire outside it).

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 
 #include "storage/stores.h"
@@ -159,6 +160,36 @@ TEST(DocumentStore, TieredFlushAndReopen) {
     EXPECT_EQ(got->find("ts")->as_int(), i);
   }
   EXPECT_EQ(reopened.insert(doc("c", 10, "m")), 10u);  // ids continue
+  fs::remove_all(dir);
+}
+
+// A stored -0.0 comes back as -0.0 from either tier, not as the integer 0.
+TEST(DocumentStore, NegativeZeroSurvivesBothTiers) {
+  namespace fs = std::filesystem;
+  const std::string dir =
+      (fs::temp_directory_path() / "loglens_store_negzero").string();
+  fs::remove_all(dir);
+  DocumentStoreOptions opts;
+  opts.dir = dir;
+  opts.hot_max_docs = 2;
+  opts.auto_compact = false;
+  DocumentStore store(opts);
+  for (int i = 0; i < 3; ++i) {
+    JsonObject o;
+    o.emplace_back("x", Json(-0.0));
+    store.insert(Json(std::move(o)));
+  }
+  ASSERT_EQ(store.segment_count(), 1u);  // ids 0-1 sealed, id 2 hot
+  ASSERT_EQ(store.hot_count(), 1u);
+  for (uint64_t id = 0; id < 3; ++id) {
+    auto got = store.get(id);
+    ASSERT_TRUE(got.has_value()) << id;
+    const Json* x = got->find("x");
+    ASSERT_NE(x, nullptr);
+    ASSERT_TRUE(x->is_double()) << id;
+    EXPECT_TRUE(std::signbit(x->as_double())) << id;
+    EXPECT_EQ(got->dump(), R"({"x":-0})") << id;
+  }
   fs::remove_all(dir);
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace loglens {
 namespace {
 
@@ -52,6 +54,21 @@ TEST(JsonParse, Numbers) {
   EXPECT_TRUE(Json::parse("1.5")->is_double());
   EXPECT_DOUBLE_EQ(Json::parse("1.5e2")->as_double(), 150.0);
   EXPECT_EQ(Json::parse("-9")->as_int(), -9);
+}
+
+TEST(JsonParse, NegativeZeroRoundTripsAsDouble) {
+  const std::string text = Json(-0.0).dump();
+  EXPECT_EQ(text, "-0");
+  auto parsed = Json::parse(text);
+  ASSERT_TRUE(parsed.ok());
+  ASSERT_TRUE(parsed->is_double());
+  EXPECT_TRUE(std::signbit(parsed->as_double()));
+  EXPECT_EQ(parsed->dump(), text);
+  auto obj = Json::parse(R"({"x":-0,"y":0})");
+  ASSERT_TRUE(obj.ok());
+  EXPECT_TRUE(obj->find("x")->is_double());
+  EXPECT_TRUE(obj->find("y")->is_int());
+  EXPECT_EQ(obj->dump(), R"({"x":-0,"y":0})");
 }
 
 TEST(JsonParse, Errors) {

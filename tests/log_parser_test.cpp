@@ -215,6 +215,93 @@ TEST_F(LogParserTest, ParseIntoMatchesParseOutput) {
   EXPECT_EQ(parsed.raw, "Connect DB 10.1.1.1");
 }
 
+// Literal dispatch (log_parser.h, step 3). The first parse of a signature
+// builds its group; the second is the first index hit and builds the
+// dispatch, so each case parses its line at least twice.
+
+TEST_F(LogParserTest, DispatchKeepsGroupOrderAcrossBucketAndRest) {
+  // One signature, dispatched on token 0 (three members hold a literal
+  // there). Pattern 1 holds a field at token 0, so it goes on `rest`, but
+  // it ranks ahead of pattern 2 (equal generality and length, lower id).
+  // Patterns 3 and 4 share the bucket "beta"; WORD is more specific than
+  // NOTSPACE, so 3 ranks ahead of 4.
+  LogParser parser(model({"%{WORD:a} start %{NUMBER:n}",
+                          "alpha %{WORD:b} %{NUMBER:n}",
+                          "beta %{WORD:b} %{NUMBER:n}",
+                          "beta %{NOTSPACE:b} %{NUMBER:n}"}),
+                   pre_.classifier());
+  for (int i = 0; i < 3; ++i) {
+    auto a = parser.parse(pre_.process("alpha start 5"));
+    ASSERT_TRUE(a.log.has_value());
+    EXPECT_EQ(a.log->pattern_id, 1) << "parse " << i;
+    auto b = parser.parse(pre_.process("beta go 5"));
+    ASSERT_TRUE(b.log.has_value());
+    EXPECT_EQ(b.log->pattern_id, 3) << "parse " << i;
+  }
+  EXPECT_EQ(parser.stats().groups_built, 1u);
+}
+
+TEST_F(LogParserTest, TokenInNoBucketStillTriesRest) {
+  LogParser parser(model({"alpha %{WORD:a} %{NUMBER:n}",
+                          "beta %{WORD:a} %{NUMBER:n}",
+                          "%{WORD:x} %{WORD:a} %{NUMBER:n}"}),
+                   pre_.classifier());
+  for (int i = 0; i < 3; ++i) {
+    auto outcome = parser.parse(pre_.process("gamma foo 5"));
+    ASSERT_TRUE(outcome.log.has_value()) << "parse " << i;
+    EXPECT_EQ(outcome.log->pattern_id, 3);
+  }
+  EXPECT_EQ(parser.stats().index_hits, 2u);
+}
+
+TEST_F(LogParserTest, MemberWithEarlierAnyDataGoesOnRest) {
+  // Dispatched on token 1 ("alpha"/"beta"). Pattern 3 holds the literal
+  // "gamma" at pattern token 1, but its ANYDATA comes first, so that token
+  // need not line up with the line's token 1: here it is the line's token 2.
+  LogParser parser(model({"%{WORD:a} alpha %{WORD:b} %{NUMBER:n}",
+                          "%{WORD:a} beta %{WORD:b} %{NUMBER:n}",
+                          "%{ANYDATA:any} gamma %{NUMBER:n}"}),
+                   pre_.classifier());
+  for (int i = 0; i < 3; ++i) {
+    auto outcome = parser.parse(pre_.process("zz yy gamma 5"));
+    ASSERT_TRUE(outcome.log.has_value()) << "parse " << i;
+    EXPECT_EQ(outcome.log->pattern_id, 3);
+    EXPECT_EQ(outcome.log->to_json().dump(),
+              R"({"_pattern_id":3,"any":"zz yy","n":"5"})");
+  }
+}
+
+TEST_F(LogParserTest, FirstParseOfASignatureAgreesWithDispatchedOnes) {
+  LogParser parser(model({"alpha %{WORD:a} %{NUMBER:n}",
+                          "beta %{WORD:a} %{NUMBER:n}",
+                          "gamma %{WORD:a} %{NUMBER:n}",
+                          "delta %{WORD:a} %{NUMBER:n}"}),
+                   pre_.classifier());
+  const TokenizedLog log = pre_.process("delta x 5");
+  auto first = parser.parse(log);
+  ASSERT_TRUE(first.log.has_value());
+  // The miss scans the group in order: delta is its last member.
+  EXPECT_EQ(parser.stats().match_attempts, 4u);
+  for (int i = 0; i < 3; ++i) {
+    auto later = parser.parse(log);
+    ASSERT_TRUE(later.log.has_value());
+    EXPECT_EQ(later.log->to_json().dump(), first.log->to_json().dump());
+  }
+  // Each dispatched parse tries the "delta" bucket only.
+  EXPECT_EQ(parser.stats().match_attempts, 4u + 3u);
+  EXPECT_EQ(parser.stats().groups_built, 1u);
+}
+
+TEST_F(LogParserTest, ResidentBytesCountTheDispatch) {
+  LogParser parser(model({"alpha %{WORD:a} %{NUMBER:n}",
+                          "beta %{WORD:a} %{NUMBER:n}"}),
+                   pre_.classifier());
+  parser.parse(pre_.process("alpha x 5"));
+  const size_t before = parser.resident_bytes();
+  parser.parse(pre_.process("alpha x 5"));  // first hit builds the dispatch
+  EXPECT_GT(parser.resident_bytes(), before);
+}
+
 TEST_F(LogParserTest, ResidentBytesGrowWithIndexEntries) {
   auto m = model({"%{WORD:a} %{NUMBER:b}"});
   LogParser parser(m, pre_.classifier());

@@ -578,6 +578,123 @@ TEST(SchedExplorer, ArchiveOverlapsParseAndDetect) {
       << "seed " << seed << " produced two different schedules";
 }
 
+// --- scenario 6: heartbeat ticks vs a slow parser runner ----------------
+//
+// The first half of a D1 stream is drained; the second half waits on
+// `ingest` when the background runners start, and the controller ticks
+// while the parser works through it. A tick may extrapolate a quiet source
+// only when the parser holds nothing: no line on `ingest`, and no batch
+// polled but not yet published. A tick that extrapolates while a polled
+// batch is still in the parser's hands expires events whose lines are in
+// that batch. Invariant: the anomaly ids of a tick-free drain().
+class HeartbeatVsParserScenario {
+ public:
+  HeartbeatVsParserScenario()
+      : dataset_(make_d1(0.05)),
+        base_checkpoint_((std::filesystem::temp_directory_path() /
+                          "loglens_sched_heartbeat_ckpt.json")
+                             .string()) {
+    LogLensService trainer(service_options());
+    trainer.train(dataset_.training);
+    if (!trainer.checkpoint(base_checkpoint_).ok()) {
+      std::abort();  // setup failure, not a schedule finding
+    }
+    const size_t stream = std::min<size_t>(dataset_.testing.size(), 200);
+    first_.assign(dataset_.testing.begin(),
+                  dataset_.testing.begin() + stream / 2);
+    second_.assign(dataset_.testing.begin() + stream / 2,
+                   dataset_.testing.begin() + stream);
+    expected_ = run_uncontrolled(/*advance_between_halves=*/0);
+    // The stream can show the defect: moving log time on by one minimum
+    // extrapolation step between the halves changes the anomaly ids.
+    if (run_uncontrolled(HeartbeatController::kMinAdvanceMs) == expected_) {
+      std::abort();  // setup failure: the scenario could not fail
+    }
+  }
+
+  ~HeartbeatVsParserScenario() { std::remove(base_checkpoint_.c_str()); }
+
+  std::string run() {
+    LogLensService service(service_options());
+    if (!service.restore(base_checkpoint_).ok()) {
+      return "restore of the pre-trained checkpoint failed";
+    }
+    Agent agent = service.make_agent("D1");
+    agent.replay(first_);
+    service.drain();
+    agent.replay(second_);
+    // This tick observes the first half, so any later tick that sees no new
+    // parsed line treats the source as quiet unless the parser holds input.
+    (void)service.heartbeat_tick();
+    service.start();
+    for (int i = 0; i < 6; ++i) {
+      (void)service.heartbeat_tick();
+      sched::sleep_for_ms(1);
+    }
+    service.stop();
+    const std::set<std::string> got = finish(service);
+    if (got != expected_) {
+      return "ticks during the parse changed the anomaly ids: " +
+             std::to_string(got.size()) + " ids against " +
+             std::to_string(expected_.size()) + " from a tick-free drain()";
+    }
+    return "";
+  }
+
+ private:
+  static ServiceOptions service_options() {
+    ServiceOptions opts;
+    opts.build.discovery = recommended_discovery("D1");
+    opts.parser_partitions = 1;
+    opts.detector_partitions = 1;
+    opts.workers = 1;
+    return opts;
+  }
+
+  // Expires every open event and returns the stored anomalies' event ids.
+  static std::set<std::string> finish(LogLensService& service) {
+    service.drain();
+    (void)service.heartbeat_advance(24L * 3600 * 1000);
+    service.drain();
+    std::set<std::string> ids;
+    for (const auto& a : service.anomalies().all()) {
+      if (!a.event_id.empty()) ids.insert(a.event_id);
+    }
+    return ids;
+  }
+
+  std::set<std::string> run_uncontrolled(int64_t advance_between_halves) {
+    LogLensService service(service_options());
+    if (!service.restore(base_checkpoint_).ok()) std::abort();
+    Agent agent = service.make_agent("D1");
+    agent.replay(first_);
+    service.drain();
+    if (advance_between_halves > 0) {
+      (void)service.heartbeat_advance(advance_between_halves);
+      service.drain();
+    }
+    agent.replay(second_);
+    return finish(service);
+  }
+
+  Dataset dataset_;
+  std::string base_checkpoint_;
+  std::vector<std::string> first_;
+  std::vector<std::string> second_;
+  std::set<std::string> expected_;
+};
+
+TEST(SchedExplorer, HeartbeatTicksVsSlowParser) {
+  HeartbeatVsParserScenario scenario;
+  sched::Options opts = scenario_options();
+  opts.change_point_horizon = 3000;  // about one run's scheduling decisions
+  opts.max_steps = 2000000;
+  // Full-pipeline cost per seed, like recover_vs_inflight: a quarter of the
+  // seed budget.
+  explore("heartbeat_vs_parser", 24, opts,
+          [&scenario] { return scenario.run(); }, /*seed_divisor=*/4);
+}
+
 // --- replay determinism --------------------------------------------------
 //
 // One seed must name one interleaving: running the same scenario twice
